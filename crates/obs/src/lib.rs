@@ -163,14 +163,27 @@ pub fn export_jsonl() -> String {
     registry().export_jsonl()
 }
 
+/// Serializes this crate's unit tests that flip or rely on the
+/// process-global enabled flag. Tests run in parallel threads of one
+/// process, so a test that briefly calls `set_enabled(false)` would
+/// otherwise silence a sibling that just switched recording on.
+/// Poisoning is ignored: one failed test must not fail the others.
+#[cfg(test)]
+pub(crate) fn test_flag_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     // The global registry is shared by every test in this binary, so
     // the tests here either use instance-local state or tolerate
-    // concurrent increments from sibling tests.
+    // concurrent increments from sibling tests. Tests that touch the
+    // global enabled flag hold `test_flag_lock` for their whole body.
 
     #[test]
     fn counters_accumulate() {
+        let _flag = super::test_flag_lock();
         let c = super::counter("test.lib.counter");
         super::set_enabled(true);
         let before = c.get();
@@ -181,6 +194,7 @@ mod tests {
 
     #[test]
     fn disabled_recording_is_a_no_op() {
+        let _flag = super::test_flag_lock();
         let r = super::Registry::new();
         // Instance registries honour the global flag; flip it briefly.
         let c = r.counter("test.disabled.counter");
@@ -195,6 +209,7 @@ mod tests {
 
     #[test]
     fn gauge_is_last_write_wins() {
+        let _flag = super::test_flag_lock();
         super::set_enabled(true);
         let g = super::gauge("test.lib.gauge");
         g.set(3);
@@ -204,6 +219,7 @@ mod tests {
 
     #[test]
     fn exports_are_valid_json() {
+        let _flag = super::test_flag_lock();
         super::set_enabled(true);
         super::counter("test.export.counter").inc();
         {

@@ -453,6 +453,7 @@ mod tests {
 
     #[test]
     fn ring_wraps_and_counts_drops() {
+        let _flag = crate::test_flag_lock();
         crate::set_enabled(true);
         let t = Timeline::new(4, 4);
         for w in 0..10 {
@@ -469,6 +470,7 @@ mod tests {
 
     #[test]
     fn disabled_timeline_is_inert() {
+        let _flag = crate::test_flag_lock();
         crate::set_enabled(false);
         let t = Timeline::new(4, 4);
         t.record_wave(rec(1));
@@ -485,6 +487,7 @@ mod tests {
 
     #[test]
     fn memory_retains_largest_rep_words() {
+        let _flag = crate::test_flag_lock();
         crate::set_enabled(true);
         let t = Timeline::new(4, 4);
         assert!(t.offer_memory(MemoryBreakdown { run: 1, rep_words: 100, ..Default::default() }));
@@ -506,6 +509,7 @@ mod tests {
 
     #[test]
     fn export_json_parses_and_maps_sentinels() {
+        let _flag = crate::test_flag_lock();
         crate::set_enabled(true);
         let t = Timeline::new(8, 8);
         t.record_wave(WaveRecord { run: 1, wave: 1, level: LEVEL_SEED, ..Default::default() });

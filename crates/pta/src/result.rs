@@ -77,7 +77,8 @@ pub struct AnalysisStats {
     /// Pointers merged away by online cycle collapse (each collapsed
     /// SCC of `k` members contributes `k - 1`).
     pub scc_collapsed_ptrs: u64,
-    /// Full Tarjan SCC sweeps run over the condensed copy graph.
+    /// Tarjan SCC sweeps run over the condensed copy graph, each over
+    /// the region the copy edges added since the previous sweep reach.
     pub collapse_sweeps: u64,
     /// Topologically ordered propagation waves executed.
     pub wave_rounds: u64,

@@ -3,8 +3,11 @@
 #
 #   ./scripts/tier1.sh
 #
-# Build (release), full test suite, a warning-free clippy pass over
-# every target, a warning-free rustdoc build (crate docs are part of
+# Build (release), full test suite, the benchmark package's own tests
+# (its ci/2cs/2obj results checked against `pta::naive::solve_naive`
+# on seeded inputs at one and two threads, so solver rewrites meet an
+# independent oracle here), a warning-free clippy pass over every
+# target, a warning-free rustdoc build (crate docs are part of
 # the deliverable), a `--threads 1` smoke run so the sequential
 # solver path — the default everywhere — cannot rot while development
 # happens against the parallel one, and a sharded `mahjong_cli` smoke
@@ -24,6 +27,7 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
+cargo test --release -q --manifest-path perfbench/Cargo.toml
 cargo clippy --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 cargo run --release -q -p bench --bin repro -- --exp fig9 --scale 1 --threads 1
