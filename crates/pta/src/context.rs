@@ -61,10 +61,18 @@ impl std::fmt::Debug for CtxId {
 }
 
 /// Hash-consing arena for contexts. Index 0 is always the empty context.
+///
+/// Lookups go through borrowed slices: [`ContextArena::append_truncated`]
+/// builds its candidate in a reused scratch buffer and
+/// [`ContextArena::truncate`] probes a suffix of the base in place, so a
+/// hit — the common case, once per receiver dispatch — allocates
+/// nothing. Only a miss copies the elements into the arena.
 #[derive(Debug)]
 pub struct ContextArena {
     ctxs: Vec<Vec<CtxElem>>,
     map: FastMap<Vec<CtxElem>, CtxId>,
+    /// Reused candidate buffer of `append_truncated`.
+    scratch: Vec<CtxElem>,
 }
 
 impl Default for ContextArena {
@@ -79,6 +87,7 @@ impl ContextArena {
         let mut arena = ContextArena {
             ctxs: Vec::new(),
             map: FastMap::default(),
+            scratch: Vec::new(),
         };
         arena.intern(Vec::new());
         arena
@@ -104,14 +113,23 @@ impl ContextArena {
                 return Err(format!("duplicate context at index {i}"));
             }
         }
-        Ok(ContextArena { ctxs, map })
+        Ok(ContextArena {
+            ctxs,
+            map,
+            scratch: Vec::new(),
+        })
     }
 
     /// Interns a context, returning its id.
     pub fn intern(&mut self, elems: Vec<CtxElem>) -> CtxId {
-        if let Some(&id) = self.map.get(&elems) {
-            return id;
+        match self.map.get(elems.as_slice()) {
+            Some(&id) => id,
+            None => self.insert_new(elems),
         }
+    }
+
+    /// Adds a context known to be absent.
+    fn insert_new(&mut self, elems: Vec<CtxElem>) -> CtxId {
         let id = CtxId(u32::try_from(self.ctxs.len()).expect("too many contexts"));
         self.map.insert(elems.clone(), id);
         self.ctxs.push(elems);
@@ -140,10 +158,14 @@ impl ContextArena {
         }
         let base_elems = &self.ctxs[base.index()];
         let keep = base_elems.len().min(k - 1);
-        let mut elems = Vec::with_capacity(keep + 1);
-        elems.extend_from_slice(&base_elems[base_elems.len() - keep..]);
-        elems.push(tail);
-        self.intern(elems)
+        self.scratch.clear();
+        self.scratch
+            .extend_from_slice(&base_elems[base_elems.len() - keep..]);
+        self.scratch.push(tail);
+        match self.map.get(self.scratch.as_slice()) {
+            Some(&id) => id,
+            None => self.insert_new(self.scratch.clone()),
+        }
     }
 
     /// Interns the most recent `k` elements of `base`.
@@ -152,8 +174,11 @@ impl ContextArena {
         if elems.len() <= k {
             return base;
         }
-        let elems = elems[elems.len() - k..].to_vec();
-        self.intern(elems)
+        let suffix = &elems[elems.len() - k..];
+        match self.map.get(suffix) {
+            Some(&id) => id,
+            None => self.insert_new(suffix.to_vec()),
+        }
     }
 }
 
@@ -448,6 +473,84 @@ mod tests {
         assert_eq!(t0, arena.empty());
         // Truncating to a longer length is the identity.
         assert_eq!(arena.truncate(c, 5), c);
+    }
+
+    /// Random `append_truncated`/`truncate` sequences give the same ids
+    /// and `len()` as a reference interner keyed by owned vectors, and a
+    /// hit never adds an entry.
+    #[test]
+    fn slice_lookups_match_a_vec_keyed_interner() {
+        struct Reference {
+            ctxs: Vec<Vec<CtxElem>>,
+            map: std::collections::HashMap<Vec<CtxElem>, usize>,
+        }
+        impl Reference {
+            /// Returns the id and whether it was already present.
+            fn intern(&mut self, elems: Vec<CtxElem>) -> (usize, bool) {
+                if let Some(&id) = self.map.get(&elems) {
+                    return (id, true);
+                }
+                self.ctxs.push(elems.clone());
+                self.map.insert(elems, self.ctxs.len() - 1);
+                (self.ctxs.len() - 1, false)
+            }
+        }
+        /// SplitMix64 (Steele, Lea & Flood).
+        fn next(state: &mut u64) -> u64 {
+            *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = *state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+        for k in 1..=3usize {
+            for seed in 0..8u64 {
+                let mut rng = seed * 31 + k as u64;
+                let mut arena = ContextArena::new();
+                let mut reference = Reference {
+                    ctxs: vec![Vec::new()],
+                    map: [(Vec::new(), 0)].into_iter().collect(),
+                };
+                let mut hits = 0;
+                for _ in 0..2000 {
+                    let base = (next(&mut rng) % arena.len() as u64) as usize;
+                    let before = arena.len();
+                    let (got, (want, hit)) = if next(&mut rng).is_multiple_of(3) {
+                        let keep = (next(&mut rng) % (k as u64 + 1)) as usize;
+                        let got = arena.truncate(CtxId(base as u32), keep);
+                        let elems = &reference.ctxs[base];
+                        let want = if elems.len() <= keep {
+                            (base, true)
+                        } else {
+                            reference.intern(elems[elems.len() - keep..].to_vec())
+                        };
+                        (got, want)
+                    } else {
+                        let tail = match next(&mut rng) % 3 {
+                            0 => CtxElem::CallSite(CallSiteId::from_usize(
+                                next(&mut rng) as usize % 4,
+                            )),
+                            1 => CtxElem::Alloc(AllocId::from_usize(next(&mut rng) as usize % 3)),
+                            _ => CtxElem::Type(ClassId::from_usize(next(&mut rng) as usize % 2)),
+                        };
+                        let got = arena.append_truncated(CtxId(base as u32), tail, k);
+                        let elems = &reference.ctxs[base];
+                        let keep = elems.len().min(k - 1);
+                        let mut want = elems[elems.len() - keep..].to_vec();
+                        want.push(tail);
+                        (got, reference.intern(want))
+                    };
+                    assert_eq!(got.index(), want, "k={k} seed={seed}");
+                    assert_eq!(arena.len(), reference.ctxs.len(), "k={k} seed={seed}");
+                    if hit {
+                        hits += 1;
+                        assert_eq!(arena.len(), before, "a hit added an entry");
+                    }
+                    assert_eq!(arena.elems(got), reference.ctxs[want].as_slice());
+                }
+                assert!(hits > 0, "k={k} seed={seed}: no lookup hit anything");
+            }
+        }
     }
 
     #[test]

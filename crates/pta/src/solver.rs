@@ -117,6 +117,20 @@
 //! `pta.pts_peak_words` becomes the peak *physical* footprint
 //! (deduplicated by allocation), with the logical (per-row) footprint
 //! reported through the timeline's memory breakdown.
+//!
+//! # Call binding
+//!
+//! A call edge `(caller context, site, callee context, target)` is
+//! bound once: its first binding marks the callee reachable and adds
+//! the argument and return copy edges, and every later dispatch that
+//! picks the same edge only seeds its receiver into `this` (the edges
+//! depend only on the call edge, and rows never lose an edge). One
+//! dispatch path, `dispatch_all`, walks a call's new receivers in
+//! ascending order, resolves the target once per receiver type, and
+//! seeds consecutive receivers that share a call edge into `this` with
+//! one `add_objects` — the same effect, in the same order, as
+//! dispatching them one at a time. `pta.call_receivers` and
+//! `pta.call_binds` count receivers dispatched on and full bindings.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -733,6 +747,13 @@ struct Solver<'a, S, H> {
     lcd_checked: FastSet<(PtrId, PtrId)>,
     /// Quiescent-edge observations awaiting an LCD probe.
     lcd_candidates: Vec<(PtrId, PtrId)>,
+    /// LCD visited marks: a pointer is visited by the running probe iff
+    /// its mark equals `lcd_epoch`. Each probe takes a fresh stamp, so
+    /// probes allocate nothing; the marks are cleared only when the
+    /// epoch wraps.
+    lcd_mark: Vec<u32>,
+    /// Stamp of the running (or last) LCD probe.
+    lcd_epoch: u32,
 
     reachable: FastSet<(CtxId, MethodId)>,
     reachable_methods: FastSet<MethodId>,
@@ -747,6 +768,12 @@ struct Solver<'a, S, H> {
     dispatch_cache: FastMap<(CallSiteId, TypeId), Option<MethodId>>,
     /// Per-method return variables (cached).
     return_vars: Vec<Vec<VarId>>,
+    /// Receiver objects dispatched on, summed over calls
+    /// (`pta.call_receivers`).
+    call_receivers: u64,
+    /// Full call bindings — one per context-sensitive call-graph edge
+    /// (`pta.call_binds`).
+    call_binds: u64,
 
     worklist: VecDeque<PtrId>,
     /// Newly reachable `(context, method)` pairs awaiting statement
@@ -824,12 +851,16 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
             sweep_region_ptrs: 0,
             lcd_checked: FastSet::default(),
             lcd_candidates: Vec::new(),
+            lcd_mark: Vec::new(),
+            lcd_epoch: 0,
             reachable: FastSet::default(),
             reachable_methods: FastSet::default(),
             cg_edges: FastSet::default(),
             cs_cg_edges: FastSet::default(),
             dispatch_cache: FastMap::default(),
             return_vars,
+            call_receivers: 0,
+            call_binds: 0,
             worklist: VecDeque::new(),
             pending_methods: VecDeque::new(),
             stats: AnalysisStats::default(),
@@ -939,7 +970,11 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
             }
             obs::gauge("pta.pointer_nodes").set(self.pts.len() as i64);
             obs::counter("pta.sweep_region_ptrs").add(self.sweep_region_ptrs);
+            obs::counter("pta.call_receivers").add(self.call_receivers);
+            obs::counter("pta.call_binds").add(self.call_binds);
         }
+        #[cfg(test)]
+        LAST_CALL_COUNTS.with(|c| c.set((self.call_binds, self.call_receivers)));
         if self.tl.on {
             // Final memory attribution. Every sample is taken right
             // after a seal sweep, so the retained (largest-`rep_words`)
@@ -1562,6 +1597,10 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         if self.lcd_candidates.is_empty() {
             return;
         }
+        let _span = obs::span("solver.lcd");
+        if self.lcd_mark.len() < self.pts.len() {
+            self.lcd_mark.resize(self.pts.len(), 0);
+        }
         let cands = std::mem::take(&mut self.lcd_candidates);
         for (from, to) in cands {
             let (from, to) = (self.rep(from), self.rep(to));
@@ -1583,10 +1622,15 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
     /// Bounded DFS from `start` over unfiltered copy edges looking for
     /// `target`; returns the path (representatives, `start ..= target`)
     /// if found. Together with the triggering edge `target → start`,
-    /// the path is one cycle.
-    fn find_cycle(&self, start: PtrId, target: PtrId) -> Option<Vec<u32>> {
-        let mut visited: FastSet<u32> = FastSet::default();
-        visited.insert(start.0);
+    /// the path is one cycle. `lcd_mark` must cover every pointer.
+    fn find_cycle(&mut self, start: PtrId, target: PtrId) -> Option<Vec<u32>> {
+        self.lcd_epoch = self.lcd_epoch.wrapping_add(1);
+        if self.lcd_epoch == 0 {
+            self.lcd_mark.fill(0);
+            self.lcd_epoch = 1;
+        }
+        let epoch = self.lcd_epoch;
+        self.lcd_mark[start.index()] = epoch;
         let mut path: Vec<(u32, usize)> = vec![(start.0, 0)];
         let mut budget = LCD_DFS_LIMIT;
         'dfs: while let Some(&(v, _)) = path.last() {
@@ -1608,9 +1652,10 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
                     cycle.push(target.0);
                     return Some(cycle);
                 }
-                if w as usize == vi || !visited.insert(w) {
+                if w as usize == vi || self.lcd_mark[w as usize] == epoch {
                     continue;
                 }
+                self.lcd_mark[w as usize] = epoch;
                 if budget == 0 {
                     return None;
                 }
@@ -2244,9 +2289,7 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         let n_calls = self.calls[i].len();
         for k in 0..n_calls {
             let call = self.calls[i][k];
-            for obj in delta.iter() {
-                self.dispatch_call(call, obj);
-            }
+            self.dispatch_all(call, delta);
         }
     }
 
@@ -2378,52 +2421,102 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         };
         self.calls[rp.index()].push(call);
         let existing = self.pts[rp.index()].clone();
-        for obj in existing.iter() {
-            self.dispatch_call(call, obj);
-        }
+        self.dispatch_all(call, &existing);
     }
 
-    fn dispatch_call(&mut self, call: PendingCall, recv_obj: ObjId) {
-        let target = match call.fixed_target {
-            Some(t) => Some(t),
-            None => {
-                let site = self.program.call_site(call.site);
-                match site.target() {
-                    CallTarget::Signature { name, arity } => {
-                        let ty = self.objs.ty(recv_obj);
-                        match self.dispatch_cache.get(&(call.site, ty)) {
-                            Some(&t) => t,
-                            None => {
-                                let t = self.program.dispatch(ty, name, *arity);
-                                self.dispatch_cache.insert((call.site, ty), t);
-                                t
-                            }
-                        }
-                    }
-                    CallTarget::Exact(t) => Some(*t),
+    /// Dispatches `call` on every receiver in `recvs`, in ascending id
+    /// order, with the effect of dispatching them one at a time.
+    ///
+    /// The target is resolved once per run of receivers of one type
+    /// (same-type ids are consecutive under hierarchy numbering).
+    /// Consecutive receivers that pick the same target and callee
+    /// context form a bind run: the first one goes through
+    /// [`Solver::bind_call`], and since the rest would only re-bind the
+    /// same edge — which adds nothing but themselves to `this` — they
+    /// join `this` in one [`Solver::add_objects`] when the run ends.
+    /// Nothing else happens between members of a run, so the batched
+    /// seed leaves the same sets and worklist as one seed per receiver.
+    fn dispatch_all(&mut self, call: PendingCall, recvs: &PtsSet<ObjId>) {
+        self.call_receivers += recvs.len() as u64;
+        let program = self.program;
+        // (receiver type, its target — `None` when nothing to bind).
+        let mut by_type: Option<(TypeId, Option<MethodId>)> = None;
+        // The open bind run: (target, callee context) and the receivers
+        // after its first.
+        let mut run: Option<(MethodId, CtxId)> = None;
+        let mut rest: Vec<ObjId> = Vec::new();
+        for obj in recvs.iter() {
+            let ty = self.objs.ty(obj);
+            let target = match by_type {
+                Some((t, target)) if t == ty => target,
+                _ => {
+                    let target = self.resolve_target(call, ty);
+                    by_type = Some((ty, target));
+                    target
                 }
+            };
+            let Some(target) = target else {
+                continue;
+            };
+            let callee_ctx = self.selector.callee_context(
+                &mut self.arena,
+                &self.objs,
+                program,
+                call.caller_ctx,
+                call.site,
+                obj,
+                target,
+            );
+            if run == Some((target, callee_ctx)) {
+                rest.push(obj);
+                continue;
             }
-        };
-        let Some(target) = target else {
-            // No concrete implementation: the call site cannot resolve
-            // for this receiver type (e.g. an abstract class leak).
-            return;
-        };
-        if self.program.method(target).is_abstract() {
-            return;
+            self.end_run(run, &mut rest);
+            self.bind_call(call.caller_ctx, call.site, callee_ctx, target, Some(obj));
+            run = Some((target, callee_ctx));
         }
-        let callee_ctx = self.selector.callee_context(
-            &mut self.arena,
-            &self.objs,
-            self.program,
-            call.caller_ctx,
-            call.site,
-            recv_obj,
-            target,
-        );
-        self.bind_call(call.caller_ctx, call.site, callee_ctx, target, Some(recv_obj));
+        self.end_run(run, &mut rest);
     }
 
+    /// Seeds the receivers a bind run deferred into its callee's `this`.
+    fn end_run(&mut self, run: Option<(MethodId, CtxId)>, rest: &mut Vec<ObjId>) {
+        if let (Some((target, ctx)), false) = (run, rest.is_empty()) {
+            if let Some(this) = self.program.method(target).this() {
+                let tp = self.var_ptr(ctx, this);
+                self.add_objects(tp, rest.iter().copied());
+            }
+            rest.clear();
+        }
+    }
+
+    /// The method `call` binds for a receiver of type `ty`, or `None`
+    /// when there is nothing to bind: no implementation (e.g. an
+    /// abstract class leak) or an abstract one.
+    fn resolve_target(&mut self, call: PendingCall, ty: TypeId) -> Option<MethodId> {
+        let program = self.program;
+        let target = match call.fixed_target {
+            Some(t) => t,
+            None => match program.call_site(call.site).target() {
+                CallTarget::Signature { name, arity } => {
+                    (*self
+                        .dispatch_cache
+                        .entry((call.site, ty))
+                        .or_insert_with(|| program.dispatch(ty, name, *arity)))?
+                }
+                CallTarget::Exact(t) => *t,
+            },
+        };
+        (!program.method(target).is_abstract()).then_some(target)
+    }
+
+    /// Binds one call edge. The first binding of a `(caller context,
+    /// site, callee context, target)` edge records it, marks the callee
+    /// reachable, and adds the argument → parameter and return → result
+    /// copy edges; every later binding of the same edge only seeds the
+    /// receiver into `this`. Those copy edges depend only on the edge,
+    /// and rows never lose an edge (collapse merges and renormalizes
+    /// them, dropping only edges that became self-loops), so replaying
+    /// them could not change the fixpoint.
     fn bind_call(
         &mut self,
         caller_ctx: CtxId,
@@ -2432,20 +2525,26 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         target: MethodId,
         recv_obj: Option<ObjId>,
     ) {
-        self.cg_edges.insert((site_id, target));
-        self.cs_cg_edges
-            .insert((caller_ctx, site_id, callee_ctx, target));
-        self.mark_reachable(callee_ctx, target);
-
         // Borrow the callee and site through a copied-out program
         // reference: the borrows outlive `&mut self` calls below, and
         // binding stays allocation-free.
         let program = self.program;
         let callee = program.method(target);
+        let first = self
+            .cs_cg_edges
+            .insert((caller_ctx, site_id, callee_ctx, target));
+        if first {
+            self.call_binds += 1;
+            self.cg_edges.insert((site_id, target));
+            self.mark_reachable(callee_ctx, target);
+        }
         // `this` receives exactly the dispatching object.
         if let (Some(this), Some(obj)) = (callee.this(), recv_obj) {
             let tp = self.var_ptr(callee_ctx, this);
             self.add_objects(tp, [obj]);
+        }
+        if !first {
+            return;
         }
         // Arguments to parameters.
         let site = program.call_site(site_id);
@@ -2486,13 +2585,21 @@ pub fn pre_analysis(program: &Program) -> Result<AnalysisResult, Unscalable> {
 thread_local! {
     /// Sweeps that passed [`Solver::check_sweep_oracle`] on this thread.
     static SWEEPS_CHECKED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// `(call_binds, call_receivers)` of the last run finished on this
+    /// thread.
+    static LAST_CALL_COUNTS: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::{BTreeMap, BTreeSet};
+
     use super::*;
-    use crate::context::{CallSiteSensitive, ContextInsensitive, ObjectSensitive};
+    use crate::context::{
+        CallSiteSensitive, ContextInsensitive, CtxElem, ObjectSensitive, TypeSensitive,
+    };
     use crate::heap::AllocSiteAbstraction;
+    use crate::naive::solve_naive;
 
     fn run_all_selectors(name: &str, program: &Program) {
         fn run<S: ContextSelector>(
@@ -2557,18 +2664,8 @@ mod tests {
     /// inside each sweep and panics on a violation).
     #[test]
     fn region_sweeps_match_full_graph_oracle() {
-        let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus");
-        let mut files: Vec<_> = std::fs::read_dir(corpus)
-            .expect("corpus directory")
-            .map(|e| e.expect("corpus entry").path())
-            .filter(|p| p.extension().is_some_and(|x| x == "jir"))
-            .collect();
-        files.sort();
-        assert!(!files.is_empty(), "no corpus files");
-        for path in &files {
-            let text = std::fs::read_to_string(path).expect("readable corpus file");
-            let program = jir::parse(&text).expect("corpus file parses");
-            run_all_selectors(&path.display().to_string(), &program);
+        for (name, program) in &corpus_programs() {
+            run_all_selectors(name, program);
         }
         let figures = [
             ("figure1", workloads::figures::figure1()),
@@ -2588,5 +2685,208 @@ mod tests {
                 "{name}@1 never swept; the oracle checked nothing"
             );
         }
+    }
+
+    fn corpus_programs() -> Vec<(String, Program)> {
+        let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus");
+        let mut files: Vec<_> = std::fs::read_dir(corpus)
+            .expect("corpus directory")
+            .map(|e| e.expect("corpus entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "jir"))
+            .collect();
+        files.sort();
+        assert!(!files.is_empty(), "no corpus files");
+        files
+            .iter()
+            .map(|path| {
+                let text = std::fs::read_to_string(path).expect("readable corpus file");
+                let program = jir::parse(&text).expect("corpus file parses");
+                (path.display().to_string(), program)
+            })
+            .collect()
+    }
+
+    /// Every full call binding creates a context-sensitive call-graph
+    /// edge: a repeat dispatch never re-binds arguments and returns.
+    #[test]
+    fn each_call_edge_is_bound_once() {
+        fn check<S: ContextSelector + Copy>(
+            label: &str,
+            selector: S,
+            program: &Program,
+        ) -> (u64, u64) {
+            let mut counts = (0, 0);
+            for threads in [1, 2] {
+                let result = AnalysisConfig::new(selector, AllocSiteAbstraction)
+                    .threads(threads)
+                    .budget(Budget::seconds(300))
+                    .run(program)
+                    .unwrap_or_else(|e| panic!("{label} at {threads} threads: {e}"));
+                let (binds, receivers) = LAST_CALL_COUNTS.with(|c| c.get());
+                assert_eq!(
+                    binds,
+                    result.cs_call_graph_edge_count() as u64,
+                    "{label} at {threads} threads: full bindings vs call-graph edges"
+                );
+                counts = (binds, receivers);
+            }
+            counts
+        }
+        let mut programs = corpus_programs();
+        programs.push((
+            "luindex@1".to_owned(),
+            workloads::dacapo::workload("luindex", 1).program,
+        ));
+        for (name, program) in &programs {
+            let runs = [
+                check(&format!("{name} ci"), ContextInsensitive, program),
+                check(&format!("{name} 2cs"), CallSiteSensitive::new(2), program),
+                check(&format!("{name} 2obj"), ObjectSensitive::new(2), program),
+                check(&format!("{name} 2type"), TypeSensitive::new(2), program),
+            ];
+            if name == "luindex@1" {
+                for (binds, receivers) in runs {
+                    assert!(
+                        receivers > binds,
+                        "luindex@1: {receivers} receivers, {binds} binds"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Per-context points-to facts, keyed by context elements so the
+    /// two solvers' id assignments need not agree.
+    type Facts = BTreeMap<(Vec<CtxElem>, VarId), BTreeSet<(Vec<CtxElem>, AllocId)>>;
+
+    /// One virtual site whose receivers span four types: three share
+    /// the inherited `Shape.visit` and `Circle` overrides it. Only
+    /// `Circle` implements `area`; the other three resolve it to the
+    /// abstract `Shape.area`, which a special call also names directly.
+    /// `Node.m` calls itself with `x.m(this)`. `go` is called from two
+    /// sites so call-site contexts differ.
+    const DISPATCH_JIR: &str = "
+        abstract class Shape {
+          field next: Shape;
+          abstract method area(this);
+          method visit(this, v) { r = this.next; return r; }
+          method me(this) { return this; }
+        }
+        class Square extends Shape { }
+        class Rect extends Shape { }
+        class Tri extends Shape { }
+        class Circle extends Shape {
+          method visit(this, v) { x = new Square; return v; }
+          method area(this) { return this; }
+        }
+        class Node {
+          field peer: Node;
+          method m(this, other) {
+            p = other.peer;
+            q = virt p.m(this);
+            return p;
+          }
+        }
+        class Main {
+          static method go(s, a) {
+            r = virt s.visit(a);
+            t = virt s.area();
+            u = virt s.me();
+            w = special s.Shape::me();
+            z = special s.Shape::area();
+            return r;
+          }
+          entry static method main() {
+            a = new Square;
+            b = new Rect;
+            c = new Tri;
+            d = new Circle;
+            s = a;
+            s = b;
+            s = c;
+            s = d;
+            a.next = b;
+            b.next = c;
+            c.next = d;
+            h = new Rect;
+            h.next = s;
+            late = h.next;
+            g1 = call Main::go(s, a);
+            g2 = call Main::go(late, c);
+            n1 = new Node;
+            n2 = new Node;
+            n1.peer = n2;
+            n2.peer = n1;
+            k = virt n1.m(n2);
+            return;
+          }
+        }";
+
+    /// The run-grouped dispatch gives the naive reference solver's
+    /// answers: per-context points-to sets, reachable contexts and
+    /// methods, and call-graph edges.
+    #[test]
+    fn grouped_dispatch_matches_naive_solver() {
+        fn check<S: ContextSelector + Copy>(label: &str, selector: S, program: &Program) {
+            let naive = solve_naive(program, &selector, &AllocSiteAbstraction);
+            let mut want = Facts::new();
+            for (key, set) in &naive.pts {
+                if let (PtrKey::Var(ctx, var), false) = (*key, set.is_empty()) {
+                    let objs = set
+                        .iter()
+                        .map(|&o| {
+                            (
+                                naive.arena.elems(naive.objs.heap_context(o)).to_vec(),
+                                naive.objs.alloc(o),
+                            )
+                        })
+                        .collect();
+                    want.insert((naive.arena.elems(ctx).to_vec(), var), objs);
+                }
+            }
+            let want_edges: BTreeSet<_> = naive.call_edges.iter().copied().collect();
+            for threads in [1, 2] {
+                let result = AnalysisConfig::new(selector, AllocSiteAbstraction)
+                    .threads(threads)
+                    .run(program)
+                    .expect("fits the budget");
+                let arena = result.contexts();
+                let mut got = Facts::new();
+                for c in 0..arena.len() {
+                    let ctx = CtxId(c as u32);
+                    for var in (0..program.var_count()).map(VarId::from_usize) {
+                        let set = result.points_to(ctx, var);
+                        if set.is_empty() {
+                            continue;
+                        }
+                        let objs = set
+                            .iter()
+                            .map(|o| {
+                                (
+                                    arena.elems(result.obj_heap_context(o)).to_vec(),
+                                    result.obj_alloc(o),
+                                )
+                            })
+                            .collect();
+                        got.insert((arena.elems(ctx).to_vec(), var), objs);
+                    }
+                }
+                assert_eq!(got, want, "{label} at {threads} threads: points-to");
+                let edges: BTreeSet<_> = result.call_graph_edges().collect();
+                assert_eq!(
+                    edges, want_edges,
+                    "{label} at {threads} threads: call graph"
+                );
+                assert_eq!(
+                    result.reachable_context_count(),
+                    naive.reachable.len(),
+                    "{label} at {threads} threads: reachable contexts"
+                );
+            }
+        }
+        let program = jir::parse(DISPATCH_JIR).expect("dispatch program parses");
+        check("ci", ContextInsensitive, &program);
+        check("2cs", CallSiteSensitive::new(2), &program);
+        check("2obj", ObjectSensitive::new(2), &program);
     }
 }

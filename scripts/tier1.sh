@@ -7,7 +7,8 @@
 # (its ci/2cs/2obj results checked against `pta::naive::solve_naive`
 # on seeded inputs at one and two threads, so solver rewrites meet an
 # independent oracle here), a warning-free clippy pass over every
-# target, a warning-free rustdoc build (crate docs are part of
+# target of the workspace and of the benchmark package, a warning-free
+# rustdoc build (crate docs are part of
 # the deliverable), a `--threads 1` smoke run so the sequential
 # solver path — the default everywhere — cannot rot while development
 # happens against the parallel one, and a sharded `mahjong_cli` smoke
@@ -29,6 +30,7 @@ cargo build --release
 cargo test -q
 cargo test --release -q --manifest-path perfbench/Cargo.toml
 cargo clippy --all-targets -- -D warnings
+cargo clippy --release --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 cargo run --release -q -p bench --bin repro -- --exp fig9 --scale 1 --threads 1
 
