@@ -215,10 +215,17 @@ impl AnalysisResult {
             let handle = match ptrs.as_slice() {
                 // One context: the collapsed set IS the row; share it.
                 [p] => pts[redirect[p.index()] as usize].clone(),
+                // Many contexts: union each distinct row once. Rows are
+                // sealed, so content-equal rows share one allocation and
+                // deduplicate by address.
                 many => {
+                    let mut rows: Vec<&PtsHandle<ObjId>> =
+                        many.iter().map(|p| &pts[redirect[p.index()] as usize]).collect();
+                    rows.sort_unstable_by_key(|h| h.addr());
+                    rows.dedup_by_key(|h| h.addr());
                     let mut out = PtsSet::new();
-                    for p in many {
-                        out.union_with(&pts[redirect[p.index()] as usize]);
+                    for row in rows {
+                        out.union_with(row);
                     }
                     let mut h = PtsHandle::from_set(out);
                     h.seal(&interner);

@@ -14,8 +14,9 @@
 //! news is coalesced until the pointer is popped. Popping forwards only
 //! that delta — never the full set — along copy edges via
 //! [`pts::PtsSet::union_into`], whose returned delta seeds the next
-//! hop. Type-filtered (cast) edges intersect against a per-type object
-//! mask with a word-wise AND instead of a per-object subtype walk.
+//! hop. Type-filtered (cast) edges intersect against the filter type's
+//! compiled id runs ([`pts::PtsSet::difference_in_ranges`]) with
+//! word-wise ANDs instead of a per-object subtype walk.
 //!
 //! # Online cycle elimination
 //!
@@ -96,12 +97,13 @@
 //!
 //! # Hash-consed rows
 //!
-//! Representative points-to sets and pending deltas live behind
-//! copy-on-write [`pts::PtsHandle`]s backed by one per-run
-//! [`pts::SetInterner`]. (Cast filters are *not* sets at all: under the
-//! hierarchy numbering each filter type's subtype cone compiles to a
-//! [`pts::IdRanges`] list of a few `[lo, hi)` runs — see
-//! [`crate::numbering`].) Context-sensitive runs produce thousands of
+//! Representative points-to sets live behind copy-on-write
+//! [`pts::PtsHandle`]s backed by one per-run [`pts::SetInterner`].
+//! Pending deltas are plain [`pts::PtsSet`]s: they are drained every
+//! wave and never sealed, so a handle would only add an `Arc`. (Cast
+//! filters are *not* sets at all: under the hierarchy numbering each
+//! filter type's subtype cone compiles to a [`pts::IdRanges`] list of
+//! a few `[lo, hi)` runs — see [`crate::numbering`].) Context-sensitive runs produce thousands of
 //! bit-identical rows (the same receiver objects under many calling
 //! contexts); every [`SEAL_SWEEP_WAVES`] waves the solver *seals*
 //! dirty rows — re-interning their content so identical rows collapse
@@ -115,8 +117,10 @@
 //! bit-for-bit. `pta.pts_interned` / `pta.pts_dedup_hits` /
 //! `pta.intern_probe_ns` report the interner's work;
 //! `pta.pts_peak_words` becomes the peak *physical* footprint
-//! (deduplicated by allocation), with the logical (per-row) footprint
-//! reported through the timeline's memory breakdown.
+//! (deduplicated by allocation) — read off the interner's live-entry
+//! words right after each seal sweep, when every live entry is some
+//! row's allocation — with the logical (per-row) footprint reported
+//! through the timeline's memory breakdown.
 //!
 //! # Call binding
 //!
@@ -351,7 +355,7 @@ impl<S: ContextSelector, H: HeapAbstraction> AnalysisConfig<S, H> {
                 self.numbering,
             )
         };
-        match self.observability {
+        let result = match self.observability {
             None => solver().solve(),
             Some(on) => {
                 let prev = obs::enabled();
@@ -360,9 +364,49 @@ impl<S: ContextSelector, H: HeapAbstraction> AnalysisConfig<S, H> {
                 obs::set_enabled(prev);
                 r
             }
+        };
+        // Only waves sharded over threads free memory in a racy order.
+        let sharded = match &result {
+            Ok(r) => r.stats().par_shards > 0,
+            Err(_) => threads > 1,
+        };
+        if sharded {
+            release_free_heap();
         }
+        result
     }
 }
+
+/// Hands the heap pages the finished run freed back to the operating
+/// system.
+///
+/// A run allocates and frees millions of small sets. glibc's malloc
+/// returns freed heap memory only from the top of the heap, so a single
+/// allocation that outlives the run and lands high in the heap (the
+/// caller's next small string, say) keeps every freed page below it
+/// resident. Where that allocation lands depends on which thread freed
+/// which chunk last; once a run shards its waves over threads that is
+/// a race, so without this call the memory a process keeps after a
+/// large run — and its peak resident set once it allocates again —
+/// differed from one run of the same input to the next by tens of
+/// megabytes. `malloc_trim` releases every free page wherever it lies
+/// (a few milliseconds after a large run). Runs on one thread free in
+/// a fixed order and skip it; other platforms and allocators are left
+/// alone.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn release_free_heap() {
+    extern "C" {
+        fn malloc_trim(pad: usize) -> std::os::raw::c_int;
+    }
+    // SAFETY: `malloc_trim` takes no pointers and only releases memory
+    // the allocator holds as free; it is safe to call at any time.
+    unsafe {
+        malloc_trim(0);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn release_free_heap() {}
 
 /// A statically resolved call waiting for receiver objects.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -421,13 +465,17 @@ const TL_MEM_SAMPLE_WAVES: u64 = 64;
 /// Rows in the hottest-pointer table published at finalize.
 const TL_TOP_K: usize = 24;
 
-/// Seal-sweep period in waves: dirty representative rows and masks are
+/// Seal-sweep period in waves: dirty representative rows are
 /// re-interned (deduplicating identical contents onto one shared
 /// allocation) and dead interner entries evicted every this many
 /// waves, and once more at finalize. Sealing hashes every dirty row's
-/// elements, so it stays off the per-wave hot path; between sweeps
+/// words, so it stays off the per-wave hot path; between sweeps
 /// mutated rows simply stay dirty and unique.
 const SEAL_SWEEP_WAVES: u64 = 64;
+
+// Memory samples read the physical footprint off the interner, which
+// is exact only right after a seal sweep.
+const _: () = assert!(TL_MEM_SAMPLE_WAVES.is_multiple_of(SEAL_SWEEP_WAVES));
 
 /// Copy-row length at which `add_edge` membership switches from a
 /// linear scan of the row to a mirrored hash set. Short rows stay
@@ -686,9 +734,9 @@ struct Solver<'a, S, H> {
     pts: Vec<PtsHandle<ObjId>>,
     /// Pending (coalesced) delta per pointer; non-empty only on
     /// representatives, and only while the pointer awaits processing.
-    /// Pending handles are transient (drained every wave) and are
-    /// never sealed — only the long-lived `pts` rows and masks are.
-    pending: Vec<PtsHandle<ObjId>>,
+    /// Pending deltas are transient (drained every wave) and never
+    /// sealed, so they are plain sets, not handles.
+    pending: Vec<PtsSet<ObjId>>,
     /// Copy edges with an optional declared-type filter (cast edges).
     /// Rows live on representatives; targets are normalized lazily at
     /// processing time and eagerly when a sweep's region covers the row.
@@ -1039,30 +1087,35 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         }
     }
 
-    /// Points-to row footprint as `(physical, logical)` words:
-    /// physical counts each allocation once (rows sealed onto the same
-    /// interned set share one), logical counts every row as if it were
-    /// unshared — the pre-interning number, and the dedup win is their
-    /// ratio.
-    fn pts_words(&self) -> (u64, u64) {
+    /// Logical points-to row footprint in words: every row counted as
+    /// if it were unshared — the pre-interning number. Against the
+    /// physical footprint (the interner's [`SetInterner::live_words`]
+    /// right after a seal sweep) it gives the dedup win.
+    fn logical_words(&self) -> u64 {
+        self.pts.iter().map(|h| h.mem_words() as u64).sum()
+    }
+
+    /// The physical row footprint counted the long way — each distinct
+    /// row allocation once, by address. The oracle for the interner's
+    /// running count, checked after every seal sweep in tests.
+    #[cfg(test)]
+    fn physical_words_by_address(&self) -> u64 {
         let mut seen: FastSet<usize> = FastSet::default();
-        let mut physical = 0u64;
-        let mut logical = 0u64;
-        for h in &self.pts {
-            let w = h.mem_words() as u64;
-            logical += w;
-            if seen.insert(h.addr()) {
-                physical += w;
-            }
-        }
-        (physical, logical)
+        self.pts
+            .iter()
+            .filter(|h| seen.insert(h.addr()))
+            .map(|h| h.mem_words() as u64)
+            .sum()
     }
 
     /// Re-interns every dirty points-to row, evicts interner entries
     /// nothing references anymore, and folds the post-seal physical
     /// footprint into the `pts_peak_words` running maximum. Probe time
-    /// lands in `intern_probe_ns`. (Cast masks used to be sealed here
-    /// too; as compiled range tables they are never interned at all.)
+    /// lands in `intern_probe_ns`. After the sweep every row holds its
+    /// content's canonical allocation and every live interner entry is
+    /// held by some row, so the interner's live words are the physical
+    /// footprint — O(distinct sets) to maintain, with no per-row
+    /// address hashing.
     fn seal_dirty(&mut self) {
         let t0 = Instant::now();
         for h in &mut self.pts {
@@ -1070,16 +1123,24 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         }
         self.interner.evict_dead();
         self.stats.intern_probe_ns += t0.elapsed().as_nanos() as u64;
-        let (physical, _) = self.pts_words();
+        let physical = self.interner.live_words();
+        #[cfg(test)]
+        {
+            assert_eq!(physical, self.physical_words_by_address(), "interner live words");
+            PHYSICAL_WORD_CHECKS.with(|c| c.set(c.get() + 1));
+        }
         self.stats.pts_peak_words = self.stats.pts_peak_words.max(physical);
     }
 
     /// Takes one memory-attribution sample (`wave` 0 = finalize) and
     /// mirrors it into the `pta.mem_*` gauges when it becomes the
     /// retained (largest-`rep_words`) sample. Scans every set, so
-    /// callers keep it off the per-wave hot path.
+    /// callers keep it off the per-wave hot path; it must follow a seal
+    /// sweep, which is what makes the interner's live words the
+    /// physical footprint.
     fn sample_memory(&mut self, wave: u32) {
-        let (rep_words, logical_words) = self.pts_words();
+        let rep_words = self.interner.live_words();
+        let logical_words = self.logical_words();
         let pending_words: u64 = self.pending.iter().map(|s| s.mem_words() as u64).sum();
         // Compiled range tables cost one word per run — the whole
         // point of the compilation; this attribution used to be the
@@ -1238,10 +1299,8 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
             let ptr = PtrId(pi);
             // A stale entry (pointer collapsed into a representative
             // or already drained by an earlier duplicate) carries no
-            // pending delta; skip it without counting a pop. Draining
-            // swaps in the shared empty handle and unwraps the taken
-            // handle in place (pending handles are uniquely owned).
-            let delta = self.take_pending(ptr).into_set();
+            // pending delta; skip it without counting a pop.
+            let delta = self.take_pending(ptr);
             if delta.is_empty() {
                 continue;
             }
@@ -1322,7 +1381,7 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
                 let ptr = PtrId(pi);
                 let delta = self.take_pending(ptr);
                 if !delta.is_empty() {
-                    batch.push((ptr, delta.into_set()));
+                    batch.push((ptr, delta));
                 }
             }
             if batch.is_empty() {
@@ -1738,7 +1797,7 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         self.stats.scc_collapsed_ptrs += (members.len() - 1) as u64;
         self.pts[r] = PtsHandle::from_set(merged);
         if !pend.is_empty() {
-            self.pending[r] = PtsHandle::from_set(pend);
+            self.pending[r] = pend;
             self.worklist.push_back(PtrId(r as u32));
         }
     }
@@ -2025,7 +2084,7 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         self.ptr_map.insert(key, p);
         self.ptr_keys.push(key);
         self.pts.push(self.empty.clone());
-        self.pending.push(self.empty.clone());
+        self.pending.push(PtsSet::new());
         self.succ.push(Vec::new());
         self.succ_set.push(None);
         self.loads.push(Vec::new());
@@ -2108,21 +2167,19 @@ impl<'a, S: ContextSelector, H: HeapAbstraction> Solver<'a, S, H> {
         }
         let i = ptr.index();
         if self.pending[i].is_empty() {
-            // Empty slots hold the shared empty handle; adopt the delta
-            // wholesale instead of copying into it.
-            self.pending[i] = PtsHandle::from_set(delta);
+            // Adopt the delta wholesale instead of copying into the
+            // empty slot.
+            self.pending[i] = delta;
             self.worklist.push_back(ptr);
         } else {
-            // A non-empty pending handle is uniquely owned (built by
-            // `from_set` above), so `make_mut` mutates in place.
-            self.pending[i].make_mut().union_with(&delta);
+            self.pending[i].union_with(&delta);
         }
     }
 
-    /// Drains the pointer's pending handle, leaving the shared empty
-    /// handle behind.
-    fn take_pending(&mut self, ptr: PtrId) -> PtsHandle<ObjId> {
-        std::mem::replace(&mut self.pending[ptr.index()], self.empty.clone())
+    /// Drains the pointer's pending delta, leaving an empty
+    /// (unallocated) set behind.
+    fn take_pending(&mut self, ptr: PtrId) -> PtsSet<ObjId> {
+        std::mem::take(&mut self.pending[ptr.index()])
     }
 
     /// Seeds `objs` into `pts(ptr)`, enqueueing the genuinely new part.
@@ -2588,6 +2645,9 @@ thread_local! {
     /// `(call_binds, call_receivers)` of the last run finished on this
     /// thread.
     static LAST_CALL_COUNTS: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
+    /// Seal sweeps whose interner-derived physical footprint matched
+    /// the address-dedup count on this thread.
+    static PHYSICAL_WORD_CHECKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
@@ -2752,6 +2812,35 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The interner's live words equal the address-dedup footprint of
+    /// the rows after every seal sweep (the check runs inside
+    /// `seal_dirty` and panics on a mismatch).
+    #[test]
+    fn interner_live_words_match_address_dedup() {
+        let mut programs = corpus_programs();
+        programs.push((
+            "luindex@1".to_owned(),
+            workloads::dacapo::workload("luindex", 1).program,
+        ));
+        fn check<S: ContextSelector + Copy>(label: &str, selector: S, program: &Program) {
+            for threads in [1, 2] {
+                let before = PHYSICAL_WORD_CHECKS.with(|c| c.get());
+                AnalysisConfig::new(selector, AllocSiteAbstraction)
+                    .threads(threads)
+                    .budget(Budget::seconds(300))
+                    .run(program)
+                    .unwrap_or_else(|e| panic!("{label} at {threads} threads: {e}"));
+                let checked = PHYSICAL_WORD_CHECKS.with(|c| c.get()) - before;
+                assert!(checked > 0, "{label} at {threads} threads: no seal was checked");
+            }
+        }
+        for (name, program) in &programs {
+            check(&format!("{name} ci"), ContextInsensitive, program);
+            check(&format!("{name} 2cs"), CallSiteSensitive::new(2), program);
+            check(&format!("{name} 2obj"), ObjectSensitive::new(2), program);
         }
     }
 

@@ -8,8 +8,11 @@
 //! — while keeping mutation cheap through copy-on-write:
 //!
 //! - [`SetInterner`] is a sharded content-addressed table mapping a
-//!   128-bit element fingerprint ([`fxhash::fingerprint_u32s`]) to the
-//!   canonical `Arc<PtsSet>` holding that content.
+//!   128-bit content fingerprint ([`fxhash::Fingerprint128`]) to the
+//!   canonical `Arc<PtsSet>` holding that content. It also keeps the
+//!   physical footprint of its live entries ([`SetInterner::live_words`]),
+//!   so the solver's peak-memory metric costs O(distinct sets), not a
+//!   walk over every row.
 //! - [`PtsHandle`] is what callers hold: an `Arc` to the set plus the
 //!   interned id the content was registered under. Reads go through
 //!   `Deref`; mutation goes through an explicit [`PtsHandle::make_mut`]
@@ -20,11 +23,13 @@
 //!
 //! # Why handle equality is sound
 //!
-//! Fingerprints are computed over the *element stream* (ascending ids
-//! plus a length word), never over the in-memory representation, so a
-//! small-vec set and its promoted dense twin intern to the same entry —
+//! Fingerprints are computed over the *word stream* — the ascending
+//! `(word index, non-zero word)` pairs plus a pair count — never over
+//! the in-memory representation: a small-vec set yields the same pairs
+//! as its promoted dense twin (and a bitmap with trailing zero words
+//! the same as its trimmed twin), so they intern to the same entry,
 //! mirroring `PtsSet`'s representation-independent `PartialEq`. A
-//! fingerprint hit is additionally verified by exact element
+//! fingerprint hit is additionally verified by exact content
 //! comparison before two sets are merged (collisions park in a bucket
 //! list), so adopting the canonical `Arc` never changes observable
 //! contents: every solver result is bit-identical to the un-interned
@@ -80,6 +85,8 @@ pub struct SetInterner<T: Elem> {
     next_id: AtomicU32,
     interned: AtomicU64,
     dedup_hits: AtomicU64,
+    /// [`PtsSet::mem_words`] summed over the table's entries.
+    live_words: AtomicU64,
     empty: Arc<PtsSet<T>>,
 }
 
@@ -105,6 +112,7 @@ impl<T: Elem> SetInterner<T> {
             next_id: AtomicU32::new(1),
             interned: AtomicU64::new(1),
             dedup_hits: AtomicU64::new(0),
+            live_words: AtomicU64::new(0),
             empty,
         }
     }
@@ -132,6 +140,15 @@ impl<T: Elem> SetInterner<T> {
         self.dedup_hits.load(Ordering::Relaxed)
     }
 
+    /// Physical words of the table's entries: each distinct content
+    /// counted once, at the footprint of its canonical allocation.
+    /// Right after every live handle is sealed and
+    /// [`Self::evict_dead`] has run, this is exactly the footprint of
+    /// the distinct allocations those handles hold.
+    pub fn live_words(&self) -> u64 {
+        self.live_words.load(Ordering::Relaxed)
+    }
+
     /// Registers `set`'s content, returning the canonical `(id, Arc)`.
     /// `fp` must be the element-stream fingerprint of `set` — passed in
     /// so a handle that already knows it (cached at a previous seal)
@@ -151,6 +168,7 @@ impl<T: Elem> SetInterner<T> {
         assert!(id != DIRTY, "interner id space exhausted");
         bucket.push((id, set.clone()));
         self.interned.fetch_add(1, Ordering::Relaxed);
+        self.live_words.fetch_add(set.mem_words() as u64, Ordering::Relaxed);
         (id, set.clone())
     }
 
@@ -163,17 +181,32 @@ impl<T: Elem> SetInterner<T> {
         for shard in &self.shards {
             let mut shard = shard.lock().unwrap();
             shard.retain(|_, bucket| {
-                bucket.retain(|(id, canon)| *id == 0 || Arc::strong_count(canon) > 1);
+                bucket.retain(|(id, canon)| {
+                    let live = *id == 0 || Arc::strong_count(canon) > 1;
+                    if !live {
+                        self.live_words.fetch_sub(canon.mem_words() as u64, Ordering::Relaxed);
+                    }
+                    live
+                });
                 !bucket.is_empty()
             });
         }
     }
 }
 
-/// Element-stream fingerprint: representation-independent content
-/// identity (see the module docs).
+/// Word-stream fingerprint: representation-independent content
+/// identity (see the module docs). The trailing pair count keeps a
+/// stream from colliding with its own prefix.
 fn fingerprint<T: Elem>(set: &PtsSet<T>) -> u128 {
-    fxhash::fingerprint_u32s(set.iter().map(|e| e.into_index() as u32))
+    let mut f = fxhash::Fingerprint128::new();
+    let mut pairs = 0u64;
+    for (w, bits) in set.words() {
+        f.write_u64(w as u64);
+        f.write_u64(bits);
+        pairs += 1;
+    }
+    f.write_u64(pairs);
+    f.finish()
 }
 
 fn shard_of(fp: u128) -> usize {
@@ -181,6 +214,12 @@ fn shard_of(fp: u128) -> usize {
 }
 
 /// A copy-on-write handle to a (possibly interned) [`PtsSet`].
+///
+/// Handles are for sets that live long enough to repeat and get
+/// sealed: the solver's points-to rows and the result's collapsed
+/// per-variable sets. Transient sets — pending deltas, copy-edge
+/// contributions — stay plain [`PtsSet`]s, since they are never sealed
+/// and an `Arc` would only add an allocation.
 ///
 /// Reads deref straight to the set. Mutation is explicit: call
 /// [`PtsHandle::make_mut`], which un-interns the handle and clones the
@@ -225,12 +264,6 @@ impl<T: Elem> PtsHandle<T> {
         self.set.clone()
     }
 
-    /// Unwraps into an owned set — without copying when this handle is
-    /// the sole owner (the common case for pending deltas).
-    pub fn into_set(self) -> PtsSet<T> {
-        Arc::try_unwrap(self.set).unwrap_or_else(|shared| (*shared).clone())
-    }
-
     /// Stable address of the underlying allocation; physical-memory
     /// accounting dedups on it.
     pub fn addr(&self) -> usize {
@@ -240,7 +273,7 @@ impl<T: Elem> PtsHandle<T> {
     /// Mutable access to the set. Marks the handle dirty and clones
     /// the allocation if it is shared (copy-on-write). Callers should
     /// check that they actually have something to write first —
-    /// `difference` / `difference_masked` against the target — so
+    /// `difference` / `difference_in_ranges` against the target — so
     /// quiescent edges never trigger the copy.
     pub fn make_mut(&mut self) -> &mut PtsSet<T> {
         self.id = DIRTY;
@@ -352,6 +385,77 @@ mod tests {
         small.seal(&interner);
         dense.seal(&interner);
         assert_eq!(small.addr(), dense.addr());
+    }
+
+    #[test]
+    fn small_and_dense_twins_share_one_id() {
+        let interner = SetInterner::<u32>::new();
+        let small_set: PtsSet<u32> = [3u32, 64, 700].into_iter().collect();
+        let mut dense_set = small_set.clone();
+        dense_set.promote();
+        assert!(!small_set.is_dense() && dense_set.is_dense());
+        assert_eq!(small_set, dense_set);
+        assert_eq!(fingerprint(&small_set), fingerprint(&dense_set));
+        let mut small = PtsHandle::from_set(small_set);
+        let mut dense = PtsHandle::from_set(dense_set);
+        small.seal(&interner);
+        dense.seal(&interner);
+        assert_eq!((small.id, small.generation), (dense.id, dense.generation));
+        assert_eq!(small, dense);
+        assert_eq!(interner.dedup_hits(), 1);
+    }
+
+    /// No kernel leaves trailing zero words on a bitmap today; if one
+    /// ever does, the word-stream fingerprint and equality still see
+    /// the trimmed content.
+    #[test]
+    fn trailing_zero_words_do_not_change_identity() {
+        let trimmed: PtsSet<u32> = (0u32..=crate::SMALL_MAX as u32).map(|i| i * 5).collect();
+        assert!(trimmed.is_dense());
+        let crate::Repr::Dense { words, len } = &trimmed.repr else {
+            unreachable!("checked dense")
+        };
+        let mut padded_words = words.clone();
+        padded_words.extend([0, 0, 0]);
+        let padded = PtsSet::<u32>::from_repr(crate::Repr::Dense {
+            words: padded_words,
+            len: *len,
+        });
+        assert_eq!(fingerprint(&padded), fingerprint(&trimmed));
+        assert_eq!(padded, trimmed);
+        let interner = SetInterner::<u32>::new();
+        let mut a = PtsHandle::from_set(trimmed);
+        let mut b = PtsHandle::from_set(padded);
+        a.seal(&interner);
+        b.seal(&interner);
+        assert_eq!(a.id, b.id);
+    }
+
+    #[test]
+    fn word_fingerprint_separates_prefixes_and_contents() {
+        let fp = |elems: &[u32]| fingerprint(&elems.iter().copied().collect::<PtsSet<u32>>());
+        // A set and a strict prefix of its word stream must not collide.
+        assert_ne!(fp(&[1, 100]), fp(&[1]));
+        assert_ne!(fp(&[]), fp(&[0]));
+        assert_ne!(fp(&[1, 2, 3]), fp(&[1, 2]));
+        assert_eq!(fp(&[9, 5]), fp(&[5, 9]));
+    }
+
+    #[test]
+    fn live_words_track_the_table() {
+        let interner = SetInterner::<u32>::new();
+        let mut a = handle(&(0..40).collect::<Vec<_>>());
+        let mut b = handle(&[1, 2, 3]);
+        let words = (a.mem_words() + b.mem_words()) as u64;
+        a.seal(&interner);
+        b.seal(&interner);
+        let mut twin = handle(&[1, 2, 3]);
+        twin.seal(&interner);
+        assert_eq!(interner.live_words(), words, "a twin adds nothing");
+        drop(b);
+        drop(twin);
+        interner.evict_dead();
+        assert_eq!(interner.live_words(), a.mem_words() as u64);
     }
 
     #[test]

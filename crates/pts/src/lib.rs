@@ -14,17 +14,25 @@
 //!   become word-wise operations, O(universe / 64) regardless of how
 //!   many objects the set holds.
 //!
-//! The two operations the solver lives on:
+//! The operations the solver lives on:
 //!
 //! - [`PtsSet::union_into`] — unions `self` into a target and returns
 //!   the **delta** (the elements genuinely new to the target) as a
 //!   fresh set. Difference propagation falls out: the returned delta is
 //!   exactly what must be forwarded to the target's consumers, and an
 //!   empty delta means the edge is quiescent.
-//! - [`PtsSet::union_into_masked`] — the same, but elements must also
-//!   be present in a *mask* set. Type-filtered (cast) edges AND the
-//!   mask word-wise instead of walking objects and querying a type
-//!   hierarchy per element.
+//! - [`PtsSet::difference`] / [`PtsSet::difference_in_ranges`] — the
+//!   read-only contribution of a copy edge (unfiltered, or filtered by
+//!   a cast's coalesced id runs) against its target.
+//!
+//! Every kernel works a 64-bit word at a time: it reads either operand
+//! as an ascending stream of `(word index, non-zero word)` pairs, which
+//! is the same for both representations, and writes a fresh result
+//! through one ascending bulk builder. The builder gives every result
+//! the representation repeated [`PtsSet::insert`] would: small if and
+//! only if it holds at most [`SMALL_MAX`] elements, otherwise a bitmap
+//! trimmed to its last set bit — so [`PtsSet::mem_words`] never
+//! depends on which kernel built a set.
 //!
 //! Iteration ([`PtsSet::iter`]) is always in ascending id order, borrows
 //! the set, and allocates nothing; [`PtsSet::to_vec`] is the escape
@@ -35,7 +43,7 @@
 //! tests use `u32`.
 //!
 //! Sets that live long enough to repeat — the solver's representative
-//! rows, per-type masks, and result storage — go behind the
+//! rows and result storage — go behind the
 //! hash-consing layer in [`intern`]: a sharded [`intern::SetInterner`]
 //! deduplicates identical contents and hands out copy-on-write
 //! [`intern::PtsHandle`]s whose equality fast-paths on the interned
@@ -94,9 +102,8 @@ const WORD_BITS: usize = 64;
 /// so the subtype cone behind each cast filter is a handful of runs;
 /// storing the runs instead of a materialized mask set turns cast
 /// filtering into range-bounded word arithmetic
-/// ([`PtsSet::difference_in_ranges`], [`PtsSet::union_masked_ranges`])
-/// and shrinks the mask footprint from bitmap words to one word per
-/// run.
+/// ([`PtsSet::difference_in_ranges`]) and shrinks the mask footprint
+/// from bitmap words to one word per run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct IdRanges {
     /// Ascending, pairwise-disjoint, non-adjacent (coalesced) runs.
@@ -241,6 +248,12 @@ impl<T: Elem> PtsSet<T> {
         self.len() == 0
     }
 
+    /// Returns `true` if the set is held as a bitmap rather than a
+    /// sorted vec (see the representation rule in the crate docs).
+    pub fn is_dense(&self) -> bool {
+        matches!(self.repr, Repr::Dense { .. })
+    }
+
     /// Returns `true` if `elem` is a member.
     pub fn contains(&self, elem: T) -> bool {
         let i = elem.into_index();
@@ -336,206 +349,123 @@ impl<T: Elem> PtsSet<T> {
     }
 
     /// Unions `self` into `target`; returns the delta (elements of
-    /// `self` that were new to `target`). O(words) when both sides are
-    /// dense.
+    /// `self` that were new to `target`). O(words) when `self` is
+    /// dense; a sorted merge when both sides are small.
     pub fn union_into(&self, target: &mut PtsSet<T>) -> PtsSet<T> {
-        self.union_impl(None, target)
+        self.union_impl(target, true)
     }
 
-    /// Unions `self ∩ mask` into `target`; returns the delta. The mask
-    /// intersection is a word-wise AND when the representations allow.
-    pub fn union_into_masked(&self, mask: &PtsSet<T>, target: &mut PtsSet<T>) -> PtsSet<T> {
-        self.union_impl(Some(mask), target)
+    /// Unions `other` into `self` without computing a delta.
+    pub fn union_with(&mut self, other: &PtsSet<T>) {
+        other.union_impl(self, false);
     }
 
-    fn union_impl(&self, mask: Option<&PtsSet<T>>, target: &mut PtsSet<T>) -> PtsSet<T> {
-        let mut delta = PtsSet::new();
-        match (&self.repr, mask) {
-            // Word-wise path: self dense, mask (if any) dense, and the
-            // target promoted to dense (an unmasked union makes it a
-            // superset of self, so promotion is not premature; a masked
-            // union from a dense source promotes too — the source being
-            // dense means heavy traffic flows through this pointer).
-            (Repr::Dense { words, .. }, None) => {
+    /// Shared body of [`PtsSet::union_into`] and [`PtsSet::union_with`];
+    /// the delta is only built when `want_delta` is set.
+    ///
+    /// The target keeps the representation element-wise insertion
+    /// would give it: a small target stays small while the union fits
+    /// in [`SMALL_MAX`] elements, a dense target stays dense, and a
+    /// dense source promotes the target (the union is then larger than
+    /// `SMALL_MAX` anyway).
+    fn union_impl(&self, target: &mut PtsSet<T>, want_delta: bool) -> PtsSet<T> {
+        if let (Repr::Small(src), Repr::Small(dst)) = (&self.repr, &mut target.repr) {
+            // Merge walk: the elements of `src` missing from `dst`.
+            let mut new = [0u32; SMALL_MAX];
+            let mut n = 0;
+            let mut j = 0;
+            for &e in src {
+                while j < dst.len() && dst[j] < e {
+                    j += 1;
+                }
+                if dst.get(j) != Some(&e) {
+                    new[n] = e;
+                    n += 1;
+                }
+            }
+            let new = &new[..n];
+            if new.is_empty() {
+                return PtsSet::new();
+            }
+            if dst.len() + n <= SMALL_MAX {
+                merge_sorted_into(dst, new);
+            } else {
                 target.promote();
-                let Repr::Dense {
-                    words: tw,
-                    len: tlen,
-                } = &mut target.repr
-                else {
+                let Repr::Dense { words, len } = &mut target.repr else {
                     unreachable!("just promoted")
                 };
-                if tw.len() < words.len() {
-                    tw.resize(words.len(), 0);
+                let span = new[n - 1] as usize / WORD_BITS + 1;
+                if words.len() < span {
+                    words.resize(span, 0);
                 }
-                for (w, (t, &s)) in tw.iter_mut().zip(words.iter()).enumerate() {
-                    let add = s & !*t;
-                    if add != 0 {
-                        *t |= add;
-                        *tlen += add.count_ones();
-                        delta.push_word(w, add);
-                    }
+                for &e in new {
+                    words[e as usize / WORD_BITS] |= 1u64 << (e as usize % WORD_BITS);
                 }
+                *len += n as u32;
             }
-            (
-                Repr::Dense { words, .. },
-                Some(PtsSet {
-                    repr: Repr::Dense { words: mw, .. },
-                    ..
-                }),
-            ) => {
-                target.promote();
-                let Repr::Dense {
-                    words: tw,
-                    len: tlen,
-                } = &mut target.repr
-                else {
-                    unreachable!("just promoted")
-                };
-                let n = words.len().min(mw.len());
-                if tw.len() < n {
-                    tw.resize(n, 0);
-                }
-                for (w, ((t, &s), &m)) in tw.iter_mut().zip(words.iter()).zip(mw.iter()).enumerate()
-                {
-                    let add = s & m & !*t;
-                    if add != 0 {
-                        *t |= add;
-                        *tlen += add.count_ones();
-                        delta.push_word(w, add);
-                    }
-                }
+            if !want_delta {
+                return PtsSet::new();
             }
-            // Element-wise path: some participant is small, so walking
-            // the (short) source is cheaper than promoting anyone.
-            _ => {
-                for e in self.iter() {
-                    if mask.is_some_and(|m| !m.contains(e)) {
-                        continue;
-                    }
-                    if target.insert(e) {
-                        delta.insert(e);
-                    }
+            return PtsSet::from_repr(Repr::Small(new.to_vec()));
+        }
+        // Word-wise path: some side is dense.
+        target.promote();
+        let Repr::Dense {
+            words: tw,
+            len: tlen,
+        } = &mut target.repr
+        else {
+            unreachable!("just promoted")
+        };
+        let span = self.word_span();
+        if tw.len() < span {
+            // One exact resize: growing word by word would leave the
+            // long-lived row with up to twice the capacity it needs.
+            tw.resize(span, 0);
+        }
+        let mut delta = Builder::new(span);
+        for (w, s) in self.words() {
+            let add = s & !tw[w];
+            if add != 0 {
+                tw[w] |= add;
+                *tlen += add.count_ones();
+                if want_delta {
+                    delta.push_bits(w, add);
                 }
             }
         }
-        delta
+        delta.finish()
     }
 
-    /// Appends the set bits of `add` at word position `w`. Internal to
-    /// the word-wise union paths: words arrive in ascending order.
-    fn push_word(&mut self, w: usize, add: u64) {
-        let base = w * WORD_BITS;
-        let mut bits = add;
-        while bits != 0 {
-            let b = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            // Ascending arrival order makes small inserts O(1) pushes.
-            self.insert(T::from_index(base + b));
-        }
-    }
-
-    /// Returns `(self ∩ mask) \ other` as a fresh set, without touching
-    /// `other`. Fully word-wise when all three sets are dense.
+    /// Returns `(self ∩ ranges) \ other` as a fresh set, without
+    /// touching `other` — the kernel of type-filtered (cast) copy
+    /// edges, reading the filter as coalesced id runs.
     ///
-    /// This is the read-only probe of the solver's **parallel wave
-    /// shards**: worker threads compute each copy edge's contribution
-    /// against a frozen view of the target sets (no `&mut` anywhere),
-    /// and the sequential merge applies the contributions afterwards
-    /// with [`PtsSet::union_into_from_shards`].
-    pub fn difference_masked(&self, mask: &PtsSet<T>, other: &PtsSet<T>) -> PtsSet<T> {
-        let mut out = PtsSet::new();
-        match (&self.repr, &mask.repr, &other.repr) {
-            (
-                Repr::Dense { words, .. },
-                Repr::Dense { words: mw, .. },
-                Repr::Dense { words: ow, .. },
-            ) => {
-                for (w, &s) in words.iter().enumerate() {
-                    let keep = s
-                        & mw.get(w).copied().unwrap_or(0)
-                        & !ow.get(w).copied().unwrap_or(0);
-                    if keep != 0 {
-                        out.push_word(w, keep);
-                    }
-                }
-            }
-            _ => {
-                for e in self.iter() {
-                    if mask.contains(e) && !other.contains(e) {
-                        out.insert(e);
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Returns `(self ∩ ranges) \ other` as a fresh set — the
-    /// range-compiled twin of [`PtsSet::difference_masked`], reading
-    /// the mask as coalesced id runs instead of a materialized set.
-    ///
-    /// Dense/dense pairs do range-bounded word arithmetic: only the
-    /// words each run overlaps are touched, with partial boundary
-    /// words masked off. Anything else walks `self`'s elements through
-    /// a run cursor ([`PtsSet::iter_in_ranges`]).
+    /// A dense `self` does range-bounded word arithmetic: only the
+    /// words each run overlaps are touched, with partial boundary words
+    /// masked off. A small `self` walks its elements through a run
+    /// cursor ([`PtsSet::iter_in_ranges`]).
     pub fn difference_in_ranges(&self, ranges: &IdRanges, other: &PtsSet<T>) -> PtsSet<T> {
-        let mut out = PtsSet::new();
-        match (&self.repr, &other.repr) {
-            (Repr::Dense { words, .. }, Repr::Dense { words: ow, .. }) => {
-                for_range_words(ranges, words.len(), |w, m| {
-                    let keep = words[w] & m & !ow.get(w).copied().unwrap_or(0);
-                    if keep != 0 {
-                        out.push_word(w, keep);
-                    }
-                });
-            }
-            _ => {
-                for e in self.iter_in_ranges(ranges) {
-                    if !other.contains(e) {
-                        out.insert(e);
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Unions `self ∩ ranges` into `target`; returns the delta — the
-    /// range-compiled twin of [`PtsSet::union_into_masked`].
-    pub fn union_masked_ranges(&self, ranges: &IdRanges, target: &mut PtsSet<T>) -> PtsSet<T> {
-        let mut delta = PtsSet::new();
+        let mut out = Builder::new(self.word_span());
         match &self.repr {
             Repr::Dense { words, .. } => {
-                target.promote();
-                let Repr::Dense {
-                    words: tw,
-                    len: tlen,
-                } = &mut target.repr
-                else {
-                    unreachable!("just promoted")
-                };
-                if tw.len() < words.len() {
-                    tw.resize(words.len(), 0);
-                }
+                let mut probe = other.probe();
                 for_range_words(ranges, words.len(), |w, m| {
-                    let add = words[w] & m & !tw[w];
-                    if add != 0 {
-                        tw[w] |= add;
-                        *tlen += add.count_ones();
-                        delta.push_word(w, add);
+                    let keep = words[w] & m & !probe.word(w);
+                    if keep != 0 {
+                        out.push_bits(w, keep);
                     }
                 });
             }
             Repr::Small(_) => {
                 for e in self.iter_in_ranges(ranges) {
-                    if target.insert(e) {
-                        delta.insert(e);
+                    if !other.contains(e) {
+                        out.push(e.into_index());
                     }
                 }
             }
         }
-        delta
+        out.finish()
     }
 
     /// Range-bounded iteration: the elements of `self ∩ ranges` in
@@ -581,48 +511,57 @@ impl<T: Elem> PtsSet<T> {
         delta
     }
 
-    /// Returns `self \ other` as a fresh set. Word-wise when both sides
-    /// are dense; otherwise walks `self`.
+    /// Returns `self \ other` as a fresh set. Word-wise when `self` is
+    /// dense (its non-zero words against `other`'s word at the same
+    /// index); a small `self` probes its few elements.
     ///
-    /// This is the collapse-time primitive of the solver's cycle
-    /// elimination: when a strongly connected component's members are
-    /// merged ("take and merge"), the representative's pending delta
-    /// must cover everything some member's consumers have not seen yet —
-    /// exactly `merged \ member` for each member.
+    /// This is the contribution probe of every unfiltered copy edge
+    /// (read-only against the target, so quiescent edges never touch a
+    /// shared row) and the collapse-time primitive of the solver's
+    /// cycle elimination: when a strongly connected component's members
+    /// are merged ("take and merge"), the representative's pending
+    /// delta must cover everything some member's consumers have not
+    /// seen yet — exactly `merged \ member` for each member.
     pub fn difference(&self, other: &PtsSet<T>) -> PtsSet<T> {
-        let mut out = PtsSet::new();
+        let mut out = Builder::new(self.word_span());
         match (&self.repr, &other.repr) {
             (Repr::Dense { words, .. }, Repr::Dense { words: ow, .. }) => {
                 for (w, &s) in words.iter().enumerate() {
                     let keep = s & !ow.get(w).copied().unwrap_or(0);
                     if keep != 0 {
-                        out.push_word(w, keep);
+                        out.push_bits(w, keep);
                     }
                 }
             }
-            _ => {
-                for e in self.iter() {
-                    if !other.contains(e) {
-                        out.insert(e);
+            (Repr::Dense { .. }, Repr::Small(_)) => {
+                let mut probe = other.probe();
+                for (w, s) in self.words() {
+                    let keep = s & !probe.word(w);
+                    if keep != 0 {
+                        out.push_bits(w, keep);
+                    }
+                }
+            }
+            (Repr::Small(v), Repr::Small(ov)) => {
+                let mut j = 0;
+                for &e in v {
+                    while j < ov.len() && ov[j] < e {
+                        j += 1;
+                    }
+                    if ov.get(j) != Some(&e) {
+                        out.push(e as usize);
+                    }
+                }
+            }
+            (Repr::Small(v), Repr::Dense { .. }) => {
+                for &e in v {
+                    if !other.contains(T::from_index(e as usize)) {
+                        out.push(e as usize);
                     }
                 }
             }
         }
-        out
-    }
-
-    /// Unions `other` into `self` without computing a delta.
-    pub fn union_with(&mut self, other: &PtsSet<T>) {
-        match &other.repr {
-            Repr::Dense { .. } => {
-                let _ = other.union_into(self);
-            }
-            Repr::Small(v) => {
-                for &i in v {
-                    self.insert(T::from_index(i as usize));
-                }
-            }
-        }
+        out.finish()
     }
 
     /// Returns `true` if the sets share an element. Word-wise AND when
@@ -667,6 +606,37 @@ impl<T: Elem> PtsSet<T> {
             Repr::Dense { words, .. } => words.len(),
         }
     }
+
+    fn from_repr(repr: Repr) -> Self {
+        PtsSet {
+            repr,
+            _elem: PhantomData,
+        }
+    }
+
+    /// Words a bitmap of this set spans: an upper bound on the words of
+    /// any set derived from it.
+    fn word_span(&self) -> usize {
+        match &self.repr {
+            Repr::Small(v) => v.last().map_or(0, |&i| i as usize / WORD_BITS + 1),
+            Repr::Dense { words, .. } => words.len(),
+        }
+    }
+
+    /// The ascending `(word index, non-zero word)` stream of the set.
+    pub(crate) fn words(&self) -> Words<'_> {
+        match &self.repr {
+            Repr::Small(v) => Words::Small(v),
+            Repr::Dense { words, .. } => Words::Dense(words.iter().enumerate()),
+        }
+    }
+
+    fn probe(&self) -> Probe<'_> {
+        match &self.repr {
+            Repr::Small(v) => Probe::Small(v),
+            Repr::Dense { words, .. } => Probe::Dense(words),
+        }
+    }
 }
 
 /// Visits every bitmap word a run list overlaps, at most once per
@@ -697,11 +667,199 @@ fn for_range_words(ranges: &IdRanges, n_words: usize, mut f: impl FnMut(usize, u
     }
 }
 
+/// Merges the ascending, duplicate-free `new` (disjoint from `dst`)
+/// into the ascending `dst` in place, filling from the back.
+fn merge_sorted_into(dst: &mut Vec<u32>, new: &[u32]) {
+    let (mut i, mut j) = (dst.len(), new.len());
+    dst.resize(i + j, 0);
+    while j > 0 {
+        if i > 0 && dst[i - 1] > new[j - 1] {
+            dst[i + j - 1] = dst[i - 1];
+            i -= 1;
+        } else {
+            dst[i + j - 1] = new[j - 1];
+            j -= 1;
+        }
+    }
+}
+
+/// The ascending bulk builder behind every kernel that produces a fresh
+/// set. Bits arrive as `(word index, bits)` pairs in non-decreasing word
+/// order (a repeated word must carry higher bits), so nothing is ever
+/// searched or shifted.
+///
+/// The output follows the one representation rule that repeated
+/// [`PtsSet::insert`] from empty also gives: **small** (exactly sized)
+/// if and only if it holds at most [`SMALL_MAX`] elements, otherwise
+/// **dense** with the words trimmed to the last set bit. So
+/// [`PtsSet::mem_words`] of a built set does not depend on the kernel
+/// that built it.
+struct Builder {
+    /// The first (up to) `SMALL_MAX` elements, staged on the stack so a
+    /// small output costs one exact-size allocation at [`Builder::finish`].
+    small: [u32; SMALL_MAX],
+    n: usize,
+    /// The bitmap, once the output outgrew `small`.
+    words: Option<Vec<u64>>,
+    len: u32,
+    /// Words to reserve on spilling: the source's word span, an upper
+    /// bound on the output's.
+    word_cap: usize,
+}
+
+impl Builder {
+    fn new(word_cap: usize) -> Self {
+        Builder {
+            small: [0; SMALL_MAX],
+            n: 0,
+            words: None,
+            len: 0,
+            word_cap,
+        }
+    }
+
+    /// Appends element `i` (greater than every element pushed so far).
+    fn push(&mut self, i: usize) {
+        if self.words.is_none() && self.n < SMALL_MAX {
+            self.small[self.n] = i as u32;
+            self.n += 1;
+            self.len += 1;
+        } else {
+            self.push_bits(i / WORD_BITS, 1u64 << (i % WORD_BITS));
+        }
+    }
+
+    /// Appends the set bits of `bits` at word index `w`.
+    fn push_bits(&mut self, w: usize, bits: u64) {
+        debug_assert!(bits != 0);
+        let k = bits.count_ones();
+        if self.words.is_none() {
+            if self.n + k as usize <= SMALL_MAX {
+                let base = (w * WORD_BITS) as u32;
+                let mut b = bits;
+                while b != 0 {
+                    self.small[self.n] = base + b.trailing_zeros();
+                    self.n += 1;
+                    b &= b - 1;
+                }
+                self.len += k;
+                return;
+            }
+            // Spill the staged elements (all at or below word `w`).
+            let mut words = Vec::with_capacity(self.word_cap.max(w + 1));
+            words.resize(w + 1, 0);
+            for &e in &self.small[..self.n] {
+                words[e as usize / WORD_BITS] |= 1u64 << (e as usize % WORD_BITS);
+            }
+            self.words = Some(words);
+        }
+        let words = self.words.as_mut().expect("spilled above");
+        if words.len() <= w {
+            words.resize(w + 1, 0);
+        }
+        words[w] |= bits;
+        self.len += k;
+    }
+
+    fn finish<T: Elem>(self) -> PtsSet<T> {
+        PtsSet::from_repr(match self.words {
+            Some(mut words) => {
+                // The spill reserved the source's span; give back what
+                // the trimmed result does not use.
+                if words.capacity() > 2 * words.len() {
+                    words.shrink_to_fit();
+                }
+                Repr::Dense {
+                    words,
+                    len: self.len,
+                }
+            }
+            None => Repr::Small(self.small[..self.n].to_vec()),
+        })
+    }
+}
+
+/// Ascending `(word index, non-zero word)` stream of a set — the same
+/// stream for both representations, so kernels and the interner's
+/// fingerprint can treat small and dense sets alike.
+pub(crate) enum Words<'a> {
+    Small(&'a [u32]),
+    Dense(std::iter::Enumerate<std::slice::Iter<'a, u64>>),
+}
+
+impl Iterator for Words<'_> {
+    type Item = (usize, u64);
+
+    fn next(&mut self) -> Option<(usize, u64)> {
+        match self {
+            Words::Small(rest) => {
+                let &first = rest.first()?;
+                let w = first as usize / WORD_BITS;
+                let mut bits = 0u64;
+                while let Some(&e) = rest.first() {
+                    if e as usize / WORD_BITS != w {
+                        break;
+                    }
+                    bits |= 1u64 << (e as usize % WORD_BITS);
+                    *rest = &rest[1..];
+                }
+                Some((w, bits))
+            }
+            Words::Dense(it) => it.find(|&(_, &x)| x != 0).map(|(w, &x)| (w, x)),
+        }
+    }
+}
+
+/// Word lookups into a set at non-decreasing word indices: direct on a
+/// bitmap, a forward cursor over a sorted vec.
+enum Probe<'a> {
+    Small(&'a [u32]),
+    Dense(&'a [u64]),
+}
+
+impl Probe<'_> {
+    /// The set's word at index `w`; `w` must not decrease between calls.
+    fn word(&mut self, w: usize) -> u64 {
+        match self {
+            Probe::Dense(words) => words.get(w).copied().unwrap_or(0),
+            Probe::Small(rest) => {
+                while rest.first().is_some_and(|&e| (e as usize) / WORD_BITS < w) {
+                    *rest = &rest[1..];
+                }
+                let mut bits = 0u64;
+                for &e in rest.iter() {
+                    if e as usize / WORD_BITS != w {
+                        break;
+                    }
+                    bits |= 1u64 << (e as usize % WORD_BITS);
+                }
+                bits
+            }
+        }
+    }
+}
+
+/// `words` without its trailing zero words.
+fn trimmed(words: &[u64]) -> &[u64] {
+    &words[..words.iter().rposition(|&w| w != 0).map_or(0, |p| p + 1)]
+}
+
 impl<T: Elem> PartialEq for PtsSet<T> {
     /// Structural equality over the *elements*, independent of
-    /// representation: a promoted set equals its small twin.
+    /// representation: a promoted set equals its small twin. Sets of
+    /// the same representation compare their vecs (bitmaps up to
+    /// trailing zero words) directly; only mixed pairs walk elements.
     fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.iter().eq(other.iter())
+        if self.len() != other.len() {
+            return false;
+        }
+        match (&self.repr, &other.repr) {
+            (Repr::Small(a), Repr::Small(b)) => a == b,
+            (Repr::Dense { words: a, .. }, Repr::Dense { words: b, .. }) => {
+                trimmed(a) == trimmed(b)
+            }
+            _ => self.iter().eq(other.iter()),
+        }
     }
 }
 
@@ -828,10 +986,13 @@ mod tests {
 
     #[test]
     fn masked_union_filters() {
+        // A cast edge: filter the source through the even ids' runs,
+        // then union the contribution into the target.
         let src: PtsSet<u32> = (0u32..40).collect();
-        let mask: PtsSet<u32> = (0u32..40).filter(|i| i % 2 == 0).collect();
+        let evens = IdRanges::from_sorted_ids((0u32..40).filter(|i| i % 2 == 0));
         let mut target = PtsSet::new();
-        let delta = src.union_into_masked(&mask, &mut target);
+        let contrib = src.difference_in_ranges(&evens, &target);
+        let delta = contrib.union_into(&mut target);
         assert_eq!(delta.len(), 20);
         assert!(target.iter().all(|i: u32| i.is_multiple_of(2)));
     }
@@ -872,28 +1033,28 @@ mod tests {
     }
 
     #[test]
-    fn difference_masked_all_paths() {
+    fn difference_in_ranges_all_paths() {
+        let runs = |ids: &[u32]| IdRanges::from_sorted_ids(ids.iter().copied());
         // Small everything.
         let src: PtsSet<u32> = [1u32, 2, 3, 4].into_iter().collect();
-        let mask: PtsSet<u32> = [2u32, 3, 9].into_iter().collect();
+        let mask = runs(&[2, 3, 9]);
         let other: PtsSet<u32> = [3u32].into_iter().collect();
-        assert_eq!(src.difference_masked(&mask, &other).to_vec(), vec![2]);
+        assert_eq!(src.difference_in_ranges(&mask, &other).to_vec(), vec![2]);
         // Dense everything, including words past the shorter operands.
         let big_src: PtsSet<u32> = (0u32..300).collect();
-        let big_mask: PtsSet<u32> = (0u32..300).filter(|i| i % 3 == 0).collect();
+        let thirds: Vec<u32> = (0u32..300).filter(|i| i % 3 == 0).collect();
         let big_other: PtsSet<u32> = (0u32..150).collect();
-        let got = big_src.difference_masked(&big_mask, &big_other);
+        let got = big_src.difference_in_ranges(&runs(&thirds), &big_other);
         let want: Vec<u32> = (150u32..300).filter(|i| i % 3 == 0).collect();
         assert_eq!(got.to_vec(), want);
-        // Mixed representations agree with the dense path.
+        // Dense source, small other; runs sharing a boundary word.
         assert_eq!(
-            big_src.difference_masked(&mask, &other).to_vec(),
+            big_src.difference_in_ranges(&mask, &other).to_vec(),
             vec![2, 9]
         );
-        // Empty mask yields an empty result.
-        assert!(src
-            .difference_masked(&PtsSet::new(), &PtsSet::new())
-            .is_empty());
+        // Empty runs yield an empty result.
+        let none = IdRanges::new();
+        assert!(src.difference_in_ranges(&none, &PtsSet::new()).is_empty());
     }
 
     #[test]

@@ -4,15 +4,16 @@
 //!
 //! Driven by the in-tree SplitMix64 PRNG (`obs::rng`) so runs are
 //! deterministic and reproducible. Each trial interleaves inserts,
-//! unions, and masked unions through `make_mut` with seal sweeps at a
+//! unions, and range-filtered unions through `make_mut` with seal sweeps at a
 //! random cadence — the same mutate-a-while-then-seal lifecycle the
 //! solver's rows live through — and asserts that sealing never changes
-//! content, that handle equality coincides with content equality, and
-//! that the handle fast paths (`intersects`, `is_subset`) agree with
-//! the structural answers.
+//! content, that handle equality coincides with content equality, that
+//! the handle fast paths (`intersects`, `is_subset`) agree with the
+//! structural answers, and that after each sweep the interner's live
+//! words equal the rows' footprint deduplicated by allocation.
 
 use obs::rng::SplitMix64;
-use pts::{PtsHandle, PtsSet, SetInterner, SMALL_MAX};
+use pts::{IdRanges, PtsHandle, PtsSet, SetInterner, SMALL_MAX};
 use std::collections::BTreeSet;
 
 const UNIVERSE: u64 = 700;
@@ -72,11 +73,17 @@ fn interned_rows_match_plain_sets_under_mutation_and_sealing() {
                     rows[i].plain.union_with(&src);
                     rows[i].oracle.extend(src_o);
                 }
+                // A cast edge: the range-filtered contribution, written
+                // through `make_mut` only when it is non-empty.
                 2 => {
                     let (src, src_o) = random_set(&mut rng, 4 * SMALL_MAX as u64);
-                    let (mask, mask_o) = random_set(&mut rng, 6 * SMALL_MAX as u64);
-                    src.union_into_masked(&mask, rows[i].handle.make_mut());
-                    src.union_into_masked(&mask, &mut rows[i].plain);
+                    let (_, mask_o) = random_set(&mut rng, 6 * SMALL_MAX as u64);
+                    let ranges = IdRanges::from_sorted_ids(mask_o.iter().copied());
+                    let contrib = src.difference_in_ranges(&ranges, &rows[i].handle);
+                    if !contrib.is_empty() {
+                        rows[i].handle.make_mut().union_with(&contrib);
+                    }
+                    rows[i].plain.union_with(&contrib);
                     rows[i]
                         .oracle
                         .extend(src_o.intersection(&mask_o).copied());
@@ -98,6 +105,20 @@ fn interned_rows_match_plain_sets_under_mutation_and_sealing() {
                     assert!(row.handle.is_sealed());
                 }
                 interner.evict_dead();
+                // Every live entry is now some row's allocation, so the
+                // interner's running count is the rows' footprint with
+                // each distinct allocation counted once.
+                let mut seen = BTreeSet::new();
+                let physical: usize = rows
+                    .iter()
+                    .filter(|row| seen.insert(row.handle.addr()))
+                    .map(|row| row.handle.mem_words())
+                    .sum();
+                assert_eq!(
+                    interner.live_words(),
+                    physical as u64,
+                    "live words, trial {trial}, op {op}"
+                );
             }
             let ctx = format!("trial {trial}, op {op}");
             for (k, row) in rows.iter().enumerate() {

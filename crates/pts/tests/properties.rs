@@ -4,8 +4,11 @@
 //! deterministic and reproducible from the printed seed. Each trial
 //! mirrors a random operation sequence onto both a `PtsSet<u32>` and a
 //! `BTreeSet<u32>` and asserts they agree on membership, cardinality,
-//! iteration order, union deltas, masked unions, and intersection —
-//! deliberately crossing the small→dense promotion boundary.
+//! iteration order, union deltas, range-filtered unions, and
+//! intersection — deliberately crossing the small→dense promotion
+//! boundary. Kernel outputs are also held to the representation rule:
+//! the same representation and footprint as the same content built by
+//! repeated `insert`.
 
 use obs::rng::SplitMix64;
 use pts::{IdRanges, PtsSet, SMALL_MAX};
@@ -72,19 +75,23 @@ fn union_into_delta_matches_oracle() {
     }
 }
 
+/// A cast edge as the solver runs it: the range-filtered contribution
+/// against the target, then its union into the target.
 #[test]
 fn masked_union_matches_oracle() {
     let mut rng = SplitMix64::new(0x1234567812345678);
     for trial in 0..200 {
         let (src, src_o) = random_set(&mut rng, 4 * SMALL_MAX as u64);
-        let (mask, mask_o) = random_set(&mut rng, 6 * SMALL_MAX as u64);
+        let (ranges, mask_o) = random_ranges(&mut rng);
         let (mut dst, mut dst_o) = random_set(&mut rng, 2 * SMALL_MAX as u64);
 
-        let delta = src.union_into_masked(&mask, &mut dst);
+        let contrib = src.difference_in_ranges(&ranges, &dst);
+        let delta = contrib.union_into(&mut dst);
         let masked: BTreeSet<u32> = src_o.intersection(&mask_o).copied().collect();
         let delta_o: BTreeSet<u32> = masked.difference(&dst_o).copied().collect();
         dst_o.extend(masked.iter().copied());
 
+        assert_matches(&contrib, &delta_o, &format!("masked contribution, trial {trial}"));
         assert_matches(&delta, &delta_o, &format!("masked delta, trial {trial}"));
         assert_matches(&dst, &dst_o, &format!("masked target, trial {trial}"));
     }
@@ -121,10 +128,8 @@ fn equality_is_representation_independent() {
     }
 }
 
-/// A random coalesced run list plus the equivalent materialized mask
-/// set and oracle — so every range op can be checked against the
-/// masked-set operation it replaces.
-fn random_ranges(rng: &mut SplitMix64) -> (IdRanges, PtsSet<u32>, BTreeSet<u32>) {
+/// A random coalesced run list plus the ids it covers.
+fn random_ranges(rng: &mut SplitMix64) -> (IdRanges, BTreeSet<u32>) {
     let mut ids: BTreeSet<u32> = BTreeSet::new();
     for _ in 0..rng.below(6) {
         let lo = rng.below(UNIVERSE) as u32;
@@ -132,15 +137,14 @@ fn random_ranges(rng: &mut SplitMix64) -> (IdRanges, PtsSet<u32>, BTreeSet<u32>)
         ids.extend(lo..(lo + len).min(UNIVERSE as u32));
     }
     let ranges = IdRanges::from_sorted_ids(ids.iter().copied());
-    let mask: PtsSet<u32> = ids.iter().copied().collect();
-    (ranges, mask, ids)
+    (ranges, ids)
 }
 
 #[test]
 fn id_ranges_coalesce_and_answer_membership() {
     let mut rng = SplitMix64::new(0x5eed5eed5eed5eed);
     for trial in 0..200 {
-        let (ranges, _, ids) = random_ranges(&mut rng);
+        let (ranges, ids) = random_ranges(&mut rng);
         // Runs must be ascending, disjoint, non-adjacent, and cover
         // exactly the oracle ids.
         for w in ranges.runs().windows(2) {
@@ -173,12 +177,10 @@ fn difference_in_ranges_matches_masked_set_oracle() {
     let mut rng = SplitMix64::new(0xc0ffee00c0ffee00);
     for trial in 0..300 {
         let (src, src_o) = random_set(&mut rng, 5 * SMALL_MAX as u64);
-        let (ranges, mask, mask_o) = random_ranges(&mut rng);
+        let (ranges, mask_o) = random_ranges(&mut rng);
         let (other, other_o) = random_set(&mut rng, 3 * SMALL_MAX as u64);
 
         let got = src.difference_in_ranges(&ranges, &other);
-        let want = src.difference_masked(&mask, &other);
-        assert_eq!(got, want, "range vs mask difference, trial {trial}");
         let want_o: BTreeSet<u32> = src_o
             .iter()
             .filter(|e| mask_o.contains(e) && !other_o.contains(e))
@@ -189,31 +191,11 @@ fn difference_in_ranges_matches_masked_set_oracle() {
 }
 
 #[test]
-fn union_masked_ranges_matches_masked_union_oracle() {
-    let mut rng = SplitMix64::new(0xbadc0de5badc0de5);
-    for trial in 0..300 {
-        let (src, src_o) = random_set(&mut rng, 5 * SMALL_MAX as u64);
-        let (ranges, mask, mask_o) = random_ranges(&mut rng);
-        let (mut dst_r, dst_o0) = random_set(&mut rng, 3 * SMALL_MAX as u64);
-        let mut dst_m = dst_r.clone();
-
-        let got = src.union_masked_ranges(&ranges, &mut dst_r);
-        let want = src.union_into_masked(&mask, &mut dst_m);
-        assert_eq!(got, want, "range vs mask union delta, trial {trial}");
-        assert_eq!(dst_r, dst_m, "range vs mask union target, trial {trial}");
-        let masked: BTreeSet<u32> = src_o.intersection(&mask_o).copied().collect();
-        let mut dst_o = dst_o0.clone();
-        dst_o.extend(masked.iter().copied());
-        assert_matches(&dst_r, &dst_o, &format!("range union target, trial {trial}"));
-    }
-}
-
-#[test]
 fn iter_in_ranges_matches_filtered_iteration() {
     let mut rng = SplitMix64::new(0x1ce1ce1ce1ce1ce1);
     for trial in 0..200 {
         let (set, set_o) = random_set(&mut rng, 5 * SMALL_MAX as u64);
-        let (ranges, _, mask_o) = random_ranges(&mut rng);
+        let (ranges, mask_o) = random_ranges(&mut rng);
         let got: Vec<u32> = set.iter_in_ranges(&ranges).collect();
         let want: Vec<u32> = set_o.iter().filter(|e| mask_o.contains(e)).copied().collect();
         assert_eq!(got, want, "range-bounded iteration, trial {trial}");
@@ -230,4 +212,89 @@ fn union_with_matches_extend() {
         let union_o: BTreeSet<u32> = a_o.union(&b_o).copied().collect();
         assert_matches(&b, &union_o, &format!("union_with, trial {trial}"));
     }
+}
+
+/// The same content built by repeated `insert` from empty — the
+/// representation every kernel output must reproduce.
+fn inserted(set: &PtsSet<u32>) -> PtsSet<u32> {
+    let mut out = PtsSet::new();
+    for e in set.iter() {
+        out.insert(e);
+    }
+    out
+}
+
+/// `got` holds `oracle` and has the representation and footprint of
+/// the same content built by `insert` into `like` (a clone of the
+/// operation's starting state; empty for fresh outputs).
+fn assert_built_like(got: &PtsSet<u32>, oracle: &BTreeSet<u32>, like: &PtsSet<u32>, ctx: &str) {
+    assert_matches(got, oracle, ctx);
+    let mut want = like.clone();
+    for &e in oracle {
+        want.insert(e);
+    }
+    assert_eq!(got.is_dense(), want.is_dense(), "representation: {ctx}");
+    assert_eq!(got.mem_words(), want.mem_words(), "mem_words: {ctx}");
+}
+
+/// A random set over a universe that is sometimes one word and
+/// sometimes many, at sizes on both sides of the promotion boundary.
+fn random_mixed(rng: &mut SplitMix64) -> (PtsSet<u32>, BTreeSet<u32>) {
+    let universe = [64u64, UNIVERSE, 5_000][rng.below(3) as usize];
+    let n = rng.below(5 * SMALL_MAX as u64);
+    let mut set = PtsSet::new();
+    let mut oracle = BTreeSet::new();
+    for _ in 0..n {
+        let v = rng.below(universe) as u32;
+        set.insert(v);
+        oracle.insert(v);
+    }
+    (set, oracle)
+}
+
+#[test]
+fn kernels_keep_the_insert_representation() {
+    let mut rng = SplitMix64::new(0x7f4a7c159e3779b9);
+    let empty = PtsSet::new();
+    let (mut saw_small, mut saw_dense) = (false, false);
+    for trial in 0..600 {
+        let (a, a_o) = random_mixed(&mut rng);
+        let (b, b_o) = random_mixed(&mut rng);
+        let (ranges, mask_o) = random_ranges(&mut rng);
+        saw_small |= !a.is_dense() && !a.is_empty();
+        saw_dense |= a.is_dense();
+        assert_eq!(inserted(&a).is_dense(), a.is_dense(), "input rule, trial {trial}");
+
+        let diff_o: BTreeSet<u32> = a_o.difference(&b_o).copied().collect();
+        let ctx = format!("difference, trial {trial}");
+        assert_built_like(&a.difference(&b), &diff_o, &empty, &ctx);
+
+        let ranged_o: BTreeSet<u32> = diff_o.intersection(&mask_o).copied().collect();
+        let ctx = format!("difference_in_ranges, trial {trial}");
+        assert_built_like(&a.difference_in_ranges(&ranges, &b), &ranged_o, &empty, &ctx);
+
+        let union_o: BTreeSet<u32> = a_o.union(&b_o).copied().collect();
+        let mut target = b.clone();
+        let delta = a.union_into(&mut target);
+        assert_built_like(&delta, &diff_o, &empty, &format!("union_into delta, trial {trial}"));
+        assert_built_like(&target, &union_o, &b, &format!("union_into target, trial {trial}"));
+
+        let mut target = b.clone();
+        target.union_with(&a);
+        assert_built_like(&target, &union_o, &b, &format!("union_with, trial {trial}"));
+
+        // Shards: a split into its lower and upper halves plus a
+        // third random set, applied in order.
+        let (c, c_o) = random_mixed(&mut rng);
+        let mid = a_o.iter().nth(a_o.len() / 2).copied().unwrap_or(0);
+        let lo: PtsSet<u32> = a.iter().filter(|&e| e < mid).collect();
+        let hi: PtsSet<u32> = a.iter().filter(|&e| e >= mid).collect();
+        let mut target = b.clone();
+        let delta = PtsSet::union_into_from_shards([&lo, &c, &hi], &mut target);
+        let all_o: BTreeSet<u32> = union_o.union(&c_o).copied().collect();
+        let new_o: BTreeSet<u32> = all_o.difference(&b_o).copied().collect();
+        assert_built_like(&delta, &new_o, &empty, &format!("shard delta, trial {trial}"));
+        assert_built_like(&target, &all_o, &b, &format!("shard target, trial {trial}"));
+    }
+    assert!(saw_small && saw_dense, "inputs must cover both representations");
 }

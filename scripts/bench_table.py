@@ -13,6 +13,9 @@ instead of hand-edited numbers.
     scripts/bench_table.py --check      # validate committed record schemas
     scripts/bench_table.py --dir D      # render records from directory D
                                         # (e.g. a bench_matrix.sh sweep)
+    scripts/bench_table.py --diff OLD NEW
+                                        # compare two perfbench traced-pass
+                                        # files (perfbench/out/trace-*.json)
 
 The schema has grown across PRs (cycle-collapse counters arrived in
 PR 3, thread counters in PR 4, hash-consing counters in PR 7);
@@ -393,6 +396,66 @@ def check_profile(path: Path):
     return problems
 
 
+# Per-cell schedule counters of a perfbench trace file. A solver change
+# that only makes the same work cheaper keeps all three identical.
+SCHEDULE_KEYS = ("worklist_pops", "collapse_sweeps", "pts_peak_words")
+
+
+def pct(old, new) -> str:
+    return f"{(new - old) / old * 100:+.1f}%" if old else "-"
+
+
+def secs(v) -> str:
+    return "-" if v is None else f"{v:.3f}"
+
+
+def diff(old_path: Path, new_path: Path) -> int:
+    """Print per-phase and per-cell seconds of two perfbench trace files
+    side by side and flag every cell whose schedule counters differ.
+    Exits 1 when any cell's counters differ or a cell is missing."""
+    old, new = (json.loads(p.read_text()) for p in (old_path, new_path))
+    print(f"# {old_path} -> {new_path}")
+    print(f"workload {old.get('workload')} seed {old.get('seed')} -> "
+          f"{new.get('workload')} seed {new.get('seed')}; "
+          f"total_s {secs(old.get('total_s'))} -> {secs(new.get('total_s'))} "
+          f"({pct(old.get('total_s', 0), new.get('total_s', 0))})")
+    print()
+    print("| phase | old (s) | new (s) | change | count old/new |")
+    print("|---|---|---|---|---|")
+    op, np_ = old.get("program_phases", {}), new.get("program_phases", {})
+    for name in sorted(set(op) | set(np_)):
+        o, n = op.get(name, {}), np_.get(name, {})
+        print(f"| {name} | {secs(o.get('secs'))} | {secs(n.get('secs'))} | "
+              f"{pct(o.get('secs') or 0, n.get('secs') or 0)} | "
+              f"{o.get('count', '-')}/{n.get('count', '-')} |")
+    print()
+
+    def cells(doc):
+        return {(c["program"], c["analysis"], c["heap"]): c for c in doc.get("cells", [])}
+
+    oc, nc = cells(old), cells(new)
+    flagged = 0
+    print("| program | analysis | heap | old (s) | new (s) | change | schedule |")
+    print("|---|---|---|---|---|---|---|")
+    for key in sorted(set(oc) | set(nc)):
+        o, n = oc.get(key), nc.get(key)
+        if o is None or n is None:
+            flagged += 1
+            note = "only in " + ("new" if o is None else "old")
+            print(f"| {' | '.join(key)} | - | - | - | **{note}** |")
+            continue
+        moved = [f"{k} {o.get(k)}->{n.get(k)}" for k in SCHEDULE_KEYS if o.get(k) != n.get(k)]
+        flagged += bool(moved)
+        change = pct(o["secs"], n["secs"]) if o.get("secs") and n.get("secs") is not None else "-"
+        note = "**" + ", ".join(moved) + "**" if moved else "same"
+        print(f"| {' | '.join(key)} | {secs(o.get('secs'))} | {secs(n.get('secs'))} | "
+              f"{change} | {note} |")
+    print()
+    print(f"{len(set(oc) | set(nc))} cells, {flagged} with a different schedule "
+          f"({', '.join(SCHEDULE_KEYS)}) or missing")
+    return 1 if flagged else 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -411,7 +474,18 @@ def main() -> int:
         default=ROOT,
         help="directory holding the records (default: repo root)",
     )
+    parser.add_argument(
+        "--diff",
+        nargs=2,
+        type=Path,
+        metavar=("OLD", "NEW"),
+        help="compare two perfbench trace files (perfbench/out/trace-*.json): "
+        "per-phase and per-cell seconds; exits 1 if any cell's "
+        + ", ".join(SCHEDULE_KEYS) + " differ",
+    )
     args = parser.parse_args()
+    if args.diff:
+        return diff(*args.diff)
     if args.check:
         return check(args.dir)
     table = render(args.dir)
